@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .config import AnalysisConfig
 from .corpus import PullRequest, RepoSnapshot, outcome
-from .errors import ConfigError, InsufficientStratumError
+from .errors import ConfigError, InsufficientStratumError, SnapshotError
 from .metrics import (
     DIMENSIONS,
     DimensionScore,
@@ -90,7 +90,13 @@ def analyze_snapshot(
     config: AnalysisConfig,
     lexicon: VouchLexicon | None = None,
 ) -> tuple[list[TrustProfile], "RepoSummary"]:
-    """Profile every PR in the snapshot and summarize the result."""
+    """Profile every PR in the snapshot and summarize the result.
+
+    Raises SnapshotError when the snapshot holds no pull requests, since
+    there is nothing to score or summarize.
+    """
+    if not snapshot.pulls:
+        raise SnapshotError("the snapshot holds no pull requests; there is nothing to analyze")
     if lexicon is None:
         lexicon = config.load_lexicon()
     profiles = [build_profile(pr, snapshot, config, lexicon) for pr in snapshot.pulls]
@@ -224,37 +230,26 @@ def summarize(profiles: Iterable[TrustProfile], snapshot: RepoSnapshot) -> RepoS
 
 
 def _summarize_stratum(profiles: list[TrustProfile]) -> StratumSummary:
-    frequencies = []
-    post_feedback = 0
-    responses = 0
-    first_timers = 0
-    shared_org = 0
-    full_acceptance_closer = 0
-    transferred_flags = 0
-    for profile in profiles:
-        action = profile.scores["action"].evidence
-        frequencies.append(action["frequency"])
-        if action["revision_commits"] > 0:
-            post_feedback += 1
-        if profile.scores["commitment"].evidence["any_response"]:
-            responses += 1
-        if profile.scores["competence"].evidence["prior_pr_count"] == 0:
-            first_timers += 1
-        if profile.scores["institutional"].evidence["shared"] >= 1:
-            shared_org += 1
-        if profile.scores["personality"].evidence["closer_propensity"] == 1.0:
-            full_acceptance_closer += 1
-        transferred = profile.scores["transferred"]
-        if transferred.available and transferred.score == 1.0:
-            transferred_flags += 1
+    def count(holds) -> int:
+        return sum(1 for profile in profiles if holds(profile.scores))
+
+    frequencies = [profile.scores["action"].evidence["frequency"] for profile in profiles]
     return StratumSummary(
         pr_count=len(profiles),
         # fsum is exactly rounded, keeping the mean permutation-invariant
         mean_comment_frequency=(math.fsum(frequencies) / len(frequencies)) if frequencies else None,
-        prs_with_post_feedback_commits=post_feedback,
-        prs_with_review_response=responses,
-        first_timer_prs=first_timers,
-        prs_with_shared_org_counterparty=shared_org,
-        prs_with_full_acceptance_closer=full_acceptance_closer,
-        prs_with_transferred_flag=transferred_flags,
+        prs_with_post_feedback_commits=count(
+            lambda s: s["action"].evidence["revision_commits"] > 0
+        ),
+        prs_with_review_response=count(lambda s: s["commitment"].evidence["any_response"]),
+        first_timer_prs=count(lambda s: s["competence"].evidence["prior_pr_count"] == 0),
+        prs_with_shared_org_counterparty=count(
+            lambda s: s["institutional"].evidence["shared"] >= 1
+        ),
+        prs_with_full_acceptance_closer=count(
+            lambda s: s["personality"].evidence["closer_propensity"] == 1.0
+        ),
+        prs_with_transferred_flag=count(
+            lambda s: s["transferred"].available and s["transferred"].score == 1.0
+        ),
     )

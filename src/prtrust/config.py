@@ -6,18 +6,24 @@ lines and lines starting with ``#`` are ignored. Recognized keys:
     f_cap, competence_window, accept_ratio, per_repo_n, seed,
     weights.action, weights.commitment, weights.competence,
     weights.institutional, weights.personality, weights.transferred,
-    lexicon_path, exclude_bots
+    exclude_bots, lexicon_path
 
 Command-line flags always override config-file values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .metrics import DIMENSIONS, VouchLexicon, default_lexicon
+from .metrics import (
+    DEFAULT_COMPETENCE_WINDOW,
+    DEFAULT_F_CAP,
+    DIMENSIONS,
+    VouchLexicon,
+    default_lexicon,
+)
 
 
 def _uniform_weights() -> dict[str, float]:
@@ -30,26 +36,24 @@ class AnalysisConfig:
 
     Weights must be strictly positive; they are renormalized over the
     available dimensions when combining scores, so only ratios matter.
+    Each field is a config-file key (``weights`` as ``weights.<dimension>``),
+    and the field order is the key order of the config echo in reports.
     """
 
-    f_cap: float = 4.0
-    competence_window: int = 1000
+    f_cap: float = DEFAULT_F_CAP
+    competence_window: int = DEFAULT_COMPETENCE_WINDOW
     accept_ratio: float = 0.75
     per_repo_n: int = 25
     seed: int = 0
     weights: dict[str, float] = field(default_factory=_uniform_weights)
-    lexicon_path: str | None = None
     exclude_bots: bool = True
+    lexicon_path: str | None = None
 
     def validate(self) -> None:
-        if self.f_cap <= 0:
-            raise ConfigError(f"f_cap must be positive, got {self.f_cap}")
-        if self.competence_window < 1:
-            raise ConfigError(f"competence_window must be >= 1, got {self.competence_window}")
-        if not 0.0 <= self.accept_ratio <= 1.0:
-            raise ConfigError(f"accept_ratio must be in [0, 1], got {self.accept_ratio}")
-        if self.per_repo_n < 1:
-            raise ConfigError(f"per_repo_n must be >= 1, got {self.per_repo_n}")
+        for key, out_of_range, requirement in _RANGES:
+            value = getattr(self, key)
+            if out_of_range(value):
+                raise ConfigError(f"{key} {requirement}, got {value}")
         if set(self.weights) != set(DIMENSIONS):
             raise ConfigError(f"weights must cover exactly the dimensions {DIMENSIONS}")
         for dimension, weight in self.weights.items():
@@ -61,6 +65,15 @@ class AnalysisConfig:
         if self.lexicon_path is not None:
             return VouchLexicon.from_file(self.lexicon_path)
         return default_lexicon()
+
+
+# (key, test that rejects the value, requirement named in the error)
+_RANGES = (
+    ("f_cap", lambda v: v <= 0, "must be positive"),
+    ("competence_window", lambda v: v < 1, "must be >= 1"),
+    ("accept_ratio", lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    ("per_repo_n", lambda v: v < 1, "must be >= 1"),
+)
 
 
 def _parse_bool(value: str, where: str) -> bool:
@@ -86,6 +99,16 @@ def _parse_int(value: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
 
 
+# Parsers of the scalar keys, by field annotation; weights are read per dimension.
+_PARSERS = {
+    "float": _parse_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str | None": lambda value, where: value,
+}
+_SCALAR_KEYS = {f.name: _PARSERS[f.type] for f in fields(AnalysisConfig) if f.name != "weights"}
+
+
 def load_config(path: str | Path) -> AnalysisConfig:
     """Parse a key=value config file into a validated AnalysisConfig."""
     path = Path(path)
@@ -106,20 +129,8 @@ def load_config(path: str | Path) -> AnalysisConfig:
         value = raw_value.strip()
         where = f"{path}:{lineno}: {key}"
 
-        if key == "f_cap":
-            config.f_cap = _parse_float(value, where)
-        elif key == "competence_window":
-            config.competence_window = _parse_int(value, where)
-        elif key == "accept_ratio":
-            config.accept_ratio = _parse_float(value, where)
-        elif key == "per_repo_n":
-            config.per_repo_n = _parse_int(value, where)
-        elif key == "seed":
-            config.seed = _parse_int(value, where)
-        elif key == "lexicon_path":
-            config.lexicon_path = value
-        elif key == "exclude_bots":
-            config.exclude_bots = _parse_bool(value, where)
+        if key in _SCALAR_KEYS:
+            setattr(config, key, _SCALAR_KEYS[key](value, where))
         elif key.startswith("weights."):
             dimension = key[len("weights."):]
             if dimension not in DIMENSIONS:
@@ -138,14 +149,7 @@ def config_echo(config: AnalysisConfig, lexicon: VouchLexicon) -> dict:
     Includes the resolved lexicon patterns so a report plus the snapshot
     it was computed from reproduces the run exactly.
     """
-    return {
-        "f_cap": config.f_cap,
-        "competence_window": config.competence_window,
-        "accept_ratio": config.accept_ratio,
-        "per_repo_n": config.per_repo_n,
-        "seed": config.seed,
-        "weights": {d: config.weights[d] for d in DIMENSIONS},
-        "exclude_bots": config.exclude_bots,
-        "lexicon_path": config.lexicon_path,
-        "lexicon_patterns": list(lexicon.patterns),
-    }
+    echo = {f.name: getattr(config, f.name) for f in fields(config)}
+    echo["weights"] = {d: config.weights[d] for d in DIMENSIONS}
+    echo["lexicon_patterns"] = list(lexicon.patterns)
+    return echo

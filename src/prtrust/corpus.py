@@ -19,7 +19,7 @@ event ordering ties are broken by event id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable
@@ -90,6 +90,11 @@ class Review:
     submitted_at: datetime
     verdict: str
     body: str
+
+    @property
+    def created_at(self) -> datetime:
+        """Alias of ``submitted_at``, so a review orders like a comment."""
+        return self.submitted_at
 
 
 @dataclass(frozen=True)
@@ -205,6 +210,14 @@ def outcome(pr: PullRequest) -> str:
     return "pending"
 
 
+def discussion(pr: PullRequest) -> tuple[Comment | Review, ...]:
+    """The PR's written discussion: issue comments, review comments, then reviews.
+
+    Every item carries ``id``, ``author``, ``created_at`` and ``body``.
+    """
+    return pr.issue_comments + pr.review_comments + pr.reviews
+
+
 def restrict(snapshot: RepoSnapshot, numbers: Iterable[int]) -> RepoSnapshot:
     """Return a snapshot whose pulls are limited to the given PR numbers.
 
@@ -249,7 +262,7 @@ def _take(data: dict, key: str, where: str, *, optional: bool = False, default: 
 
 
 def _check_keys(data: dict, allowed: Iterable[str], where: str) -> None:
-    extra = set(data) - set(allowed)
+    extra = data.keys() - allowed
     if extra:
         raise SnapshotParseError(f"{where}: unknown field '{sorted(extra)[0]}'")
 
@@ -276,46 +289,39 @@ def _string_list(data: dict, key: str, where: str) -> list[str]:
     return values
 
 
-def _decode_comment(data: Any, where: str) -> Comment:
-    data = _require_dict(data, where)
-    _check_keys(data, ("id", "author", "created_at", "body"), where)
-    return Comment(
-        id=_int_field(data, "id", where),
-        author=_str_field(data, "author", where),
-        created_at=parse_timestamp(_take(data, "created_at", where), f"{where}.created_at"),
-        body=_str_field(data, "body", where),
-    )
+def _time_field(data: dict, key: str, where: str) -> datetime:
+    return parse_timestamp(_take(data, key, where), f"{where}.{key}")
 
 
-def _decode_review(data: Any, where: str) -> Review:
-    data = _require_dict(data, where)
-    _check_keys(data, ("id", "author", "submitted_at", "verdict", "body"), where)
-    return Review(
-        id=_int_field(data, "id", where),
-        author=_str_field(data, "author", where),
-        submitted_at=parse_timestamp(_take(data, "submitted_at", where), f"{where}.submitted_at"),
-        verdict=_str_field(data, "verdict", where),
-        body=_str_field(data, "body", where),
-    )
+_FIELD_READERS = {"int": _int_field, "str": _str_field, "datetime": _time_field}
+
+# Each event's JSON keys, in the order they are encoded and checked, are its
+# dataclass fields: (name, annotation) pairs.
+_EVENT_FIELDS = {
+    cls: tuple((f.name, f.type) for f in fields(cls))
+    for cls in (Comment, Review, ReviewRequest, CommitEvent)
+}
+
+# The event lists of a pull request, in JSON key order.
+_EVENT_LISTS = (
+    ("commits", CommitEvent),
+    ("issue_comments", Comment),
+    ("review_comments", Comment),
+    ("reviews", Review),
+    ("review_requests", ReviewRequest),
+)
 
 
-def _decode_review_request(data: Any, where: str) -> ReviewRequest:
-    data = _require_dict(data, where)
-    _check_keys(data, ("requestee", "requested_at"), where)
-    return ReviewRequest(
-        requestee=_str_field(data, "requestee", where),
-        requested_at=parse_timestamp(_take(data, "requested_at", where), f"{where}.requested_at"),
-    )
-
-
-def _decode_commit(data: Any, where: str) -> CommitEvent:
-    data = _require_dict(data, where)
-    _check_keys(data, ("sha", "author", "committed_at"), where)
-    return CommitEvent(
-        sha=_str_field(data, "sha", where),
-        author=_str_field(data, "author", where),
-        committed_at=parse_timestamp(_take(data, "committed_at", where), f"{where}.committed_at"),
-    )
+def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
+    spec = _EVENT_FIELDS[cls]
+    names = [name for name, _ in spec]
+    events = []
+    for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
+        at = f"{where}.{key}[{i}]"
+        raw = _require_dict(raw, at)
+        _check_keys(raw, names, at)
+        events.append(cls(*[_FIELD_READERS[kind](raw, name, at) for name, kind in spec]))
+    return tuple(events)
 
 
 def _decode_user(data: Any, where: str) -> UserProfile:
@@ -348,17 +354,10 @@ def _decode_user(data: Any, where: str) -> UserProfile:
     )
 
 
-_PR_FIELDS = (
-    "number", "author", "state", "created_at", "closed_at", "closer", "labels",
-    "contribution_kind", "files", "commits", "issue_comments", "review_comments",
-    "reviews", "review_requests",
-)
-
-
 def _decode_pull(data: Any, index: int) -> PullRequest:
     where = f"pulls[{index}]"
     data = _require_dict(data, where)
-    _check_keys(data, _PR_FIELDS, where)
+    _check_keys(data, (f.name for f in fields(PullRequest)), where)
     number = _int_field(data, "number", where)
     where = f"PR {number}"
 
@@ -377,32 +376,13 @@ def _decode_pull(data: Any, index: int) -> PullRequest:
         number=number,
         author=_str_field(data, "author", where),
         state=_str_field(data, "state", where),
-        created_at=parse_timestamp(_take(data, "created_at", where), f"{where}.created_at"),
+        created_at=_time_field(data, "created_at", where),
         closed_at=closed_at,
         closer=closer,
         labels=frozenset(labels),
         contribution_kind=_str_field(data, "contribution_kind", where),
         files=tuple(_string_list(data, "files", where)),
-        commits=tuple(
-            _decode_commit(c, f"{where}.commits[{i}]")
-            for i, c in enumerate(_require_list(_take(data, "commits", where), f"{where}.commits"))
-        ),
-        issue_comments=tuple(
-            _decode_comment(c, f"{where}.issue_comments[{i}]")
-            for i, c in enumerate(_require_list(_take(data, "issue_comments", where), f"{where}.issue_comments"))
-        ),
-        review_comments=tuple(
-            _decode_comment(c, f"{where}.review_comments[{i}]")
-            for i, c in enumerate(_require_list(_take(data, "review_comments", where), f"{where}.review_comments"))
-        ),
-        reviews=tuple(
-            _decode_review(r, f"{where}.reviews[{i}]")
-            for i, r in enumerate(_require_list(_take(data, "reviews", where), f"{where}.reviews"))
-        ),
-        review_requests=tuple(
-            _decode_review_request(r, f"{where}.review_requests[{i}]")
-            for i, r in enumerate(_require_list(_take(data, "review_requests", where), f"{where}.review_requests"))
-        ),
+        **{key: _decode_events(data, key, cls, where) for key, cls in _EVENT_LISTS},
     )
 
 
@@ -428,7 +408,7 @@ def snapshot_from_dict(data: Any) -> RepoSnapshot:
     snapshot = RepoSnapshot(
         repo_owner=_str_field(repo, "owner", "repo"),
         repo_name=_str_field(repo, "name", "repo"),
-        fetched_at=parse_timestamp(_take(repo, "fetched_at", "repo"), "repo.fetched_at"),
+        fetched_at=_time_field(repo, "fetched_at", "repo"),
         pulls=pulls,
         users=users,
     )
@@ -613,36 +593,17 @@ def _encode_pull(pr: PullRequest) -> dict:
     out["labels"] = sorted(pr.labels)
     out["contribution_kind"] = pr.contribution_kind
     out["files"] = list(pr.files)
-    out["commits"] = [
-        {"sha": c.sha, "author": c.author, "committed_at": format_timestamp(c.committed_at)}
-        for c in pr.commits
-    ]
-    out["issue_comments"] = [_encode_comment(c) for c in pr.issue_comments]
-    out["review_comments"] = [_encode_comment(c) for c in pr.review_comments]
-    out["reviews"] = [
-        {
-            "id": r.id,
-            "author": r.author,
-            "submitted_at": format_timestamp(r.submitted_at),
-            "verdict": r.verdict,
-            "body": r.body,
-        }
-        for r in pr.reviews
-    ]
-    out["review_requests"] = [
-        {"requestee": r.requestee, "requested_at": format_timestamp(r.requested_at)}
-        for r in pr.review_requests
-    ]
+    for key, _ in _EVENT_LISTS:
+        out[key] = [_encode_event(event) for event in getattr(pr, key)]
     return out
 
 
-def _encode_comment(comment: Comment) -> dict:
-    return {
-        "id": comment.id,
-        "author": comment.author,
-        "created_at": format_timestamp(comment.created_at),
-        "body": comment.body,
-    }
+def _encode_event(event: Any) -> dict:
+    out = {}
+    for name, kind in _EVENT_FIELDS[type(event)]:
+        value = getattr(event, name)
+        out[name] = format_timestamp(value) if kind == "datetime" else value
+    return out
 
 
 def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:

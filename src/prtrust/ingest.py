@@ -6,11 +6,13 @@ repo permission per distinct user, with bounded parallelism and a
 URL+ETag response cache. Review requests are reconstructed from timeline
 events so reviewers who already responded are still counted.
 
-Cache layout: {cache_dir}/{sha256(url)}.json holding
-{"url", "retrieved_at", "link_next", "body"}, plus a .etag sidecar.
-A warm cache answers every request with a 304 revalidation, and the
-recorded retrieval times are reused, so re-runs produce byte-identical
-snapshots.
+Cache layout: one file per response, {cache_dir}/{sha256(url)}.json,
+holding {"url", "retrieved_at", "link_next", "etag", "body"}. Entries are
+written through a unique temporary file and renamed into place, so
+processes may share a cache directory; an entry that is unreadable or not
+in this layout is a miss. A warm cache answers every request with a 304
+revalidation, and the recorded retrieval times are reused, so re-runs
+produce byte-identical snapshots.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -32,6 +35,8 @@ import requests
 
 from . import __version__
 from .corpus import (
+    PERMISSIONS,
+    REVIEW_VERDICTS,
     Comment,
     CommitEvent,
     PullRequest,
@@ -40,6 +45,7 @@ from .corpus import (
     ReviewRequest,
     UserProfile,
     classify_contribution,
+    discussion,
     format_timestamp,
     parse_timestamp,
     validate,
@@ -54,14 +60,12 @@ _MAX_RETRIES = 3          # per request, on network errors and 5xx
 _MAX_RATE_WAITS = 3       # bounded even with a token
 _TIMEOUT = 30.0
 
-_VERDICTS = {
-    "APPROVED": "approved",
-    "COMMENTED": "commented",
-    "CHANGES_REQUESTED": "changes_requested",
-    "DISMISSED": "dismissed",
-}
+# GitHub's review states are the upper-cased verdicts.
+_VERDICTS = {verdict.upper(): verdict for verdict in REVIEW_VERDICTS}
 
 _GHOST = "ghost"          # GitHub's placeholder for deleted accounts
+
+_ENVELOPE_KEYS = ("url", "retrieved_at", "link_next", "etag", "body")
 
 
 @dataclass(frozen=True)
@@ -118,35 +122,36 @@ class GitHubClient:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_paths(self, url: str) -> tuple[Path, Path] | None:
+    def _cache_path(self, url: str) -> Path | None:
         if self._cache_dir is None:
             return None
         digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
-        return self._cache_dir / f"{digest}.json", self._cache_dir / f"{digest}.etag"
+        return self._cache_dir / f"{digest}.json"
 
-    def _read_cached(self, url: str) -> tuple[dict, str] | None:
-        paths = self._cache_paths(url)
-        if paths is None:
-            return None
-        body_path, etag_path = paths
-        if not body_path.exists() or not etag_path.exists():
+    def _read_cached(self, url: str) -> dict | None:
+        path = self._cache_path(url)
+        if path is None:
             return None
         try:
-            envelope = json.loads(body_path.read_text(encoding="utf-8"))
-            etag = etag_path.read_text(encoding="utf-8").strip()
-        except (OSError, json.JSONDecodeError):
+            envelope = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
             return None
-        return envelope, etag
+        if not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS):
+            return None
+        return envelope
 
-    def _write_cached(self, url: str, envelope: dict, etag: str | None) -> None:
-        paths = self._cache_paths(url)
-        if paths is None or etag is None:
+    def _write_cached(self, url: str, envelope: dict) -> None:
+        path = self._cache_path(url)
+        if path is None or envelope["etag"] is None:
             return
-        body_path, etag_path = paths
-        tmp = body_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(envelope, ensure_ascii=False), encoding="utf-8")
-        tmp.replace(body_path)
-        etag_path.write_text(etag, encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=self._cache_dir)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(envelope, ensure_ascii=False))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -191,7 +196,7 @@ class GitHubClient:
         their recorded time.
         """
         cached = self._read_cached(url)
-        etag = cached[1] if cached else None
+        etag = cached["etag"] if cached else None
 
         retries = 0
         rate_waits = 0
@@ -211,12 +216,11 @@ class GitHubClient:
             status = response.status_code
 
             if status == 304 and cached is not None:
-                envelope = cached[0]
-                retrieved_at = parse_timestamp(envelope["retrieved_at"], "cache entry")
+                retrieved_at = parse_timestamp(cached["retrieved_at"], "cache entry")
                 self._note_retrieved(retrieved_at)
                 with self._lock:
                     self.stats["cache_hits"] += 1
-                return envelope["body"], retrieved_at, envelope.get("link_next")
+                return cached["body"], retrieved_at, cached["link_next"]
 
             if status == 200:
                 retrieved_at = datetime.now(timezone.utc).replace(microsecond=0)
@@ -229,9 +233,10 @@ class GitHubClient:
                     "url": url,
                     "retrieved_at": format_timestamp(retrieved_at),
                     "link_next": link_next,
+                    "etag": response.headers.get("ETag"),
                     "body": payload,
                 }
-                self._write_cached(url, envelope, response.headers.get("ETag"))
+                self._write_cached(url, envelope)
                 self._note_retrieved(retrieved_at)
                 with self._lock:
                     self.stats["uncached"] += 1
@@ -566,8 +571,7 @@ def _fetch_pull(
         review_requests=tuple(requests_list),
     )
 
-    seen = {author} | {c.author for c in pr.issue_comments + pr.review_comments}
-    seen |= {r.author for r in pr.reviews}
+    seen = {author} | {e.author for e in discussion(pr)}
     seen |= {r.requestee for r in pr.review_requests}
     seen |= {c.author for c in pr.commits}
     if closer is not None:
@@ -600,7 +604,7 @@ def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> User
             f"{API_ROOT}/repos/{owner}/{name}/collaborators/{encoded}/permission"
         )
         value = perm_raw.get("permission")
-        permission = value if value in ("admin", "write", "read", "none") else "none"
+        permission = value if value in PERMISSIONS else "none"
     except NotFoundError:
         permission = "none"  # not a collaborator
     except AuthError:
@@ -616,22 +620,12 @@ def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> User
 
 
 def _max_event_timestamp(pulls) -> datetime | None:
-    latest: datetime | None = None
-
-    def bump(value: datetime | None) -> None:
-        nonlocal latest
-        if value is not None and (latest is None or value > latest):
-            latest = value
-
+    stamps: list[datetime] = []
     for pr in pulls:
-        bump(pr.created_at)
-        bump(pr.closed_at)
-        for comment in pr.issue_comments + pr.review_comments:
-            bump(comment.created_at)
-        for review in pr.reviews:
-            bump(review.submitted_at)
-        for request in pr.review_requests:
-            bump(request.requested_at)
-        for commit in pr.commits:
-            bump(commit.committed_at)
-    return latest
+        stamps.append(pr.created_at)
+        if pr.closed_at is not None:
+            stamps.append(pr.closed_at)
+        stamps.extend(event.created_at for event in discussion(pr))
+        stamps.extend(request.requested_at for request in pr.review_requests)
+        stamps.extend(commit.committed_at for commit in pr.commits)
+    return max(stamps, default=None)

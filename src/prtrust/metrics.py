@@ -18,7 +18,7 @@ from math import log10
 from pathlib import Path
 from typing import Any, Iterable
 
-from .corpus import PullRequest, RepoSnapshot
+from .corpus import PullRequest, RepoSnapshot, Review, discussion
 from .errors import ConfigError, UnknownLoginError
 
 DIMENSIONS = (
@@ -51,8 +51,9 @@ class DimensionScore:
     evidence: dict[str, Any]
 
 
-def _is_bot(login: str) -> bool:
-    return login.endswith(_BOT_SUFFIX)
+def _ignored(login: str, exclude_bots: bool) -> bool:
+    """Whether ``login`` is a bot account that the metric leaves out."""
+    return exclude_bots and login.endswith(_BOT_SUFFIX)
 
 
 def _profile(snapshot: RepoSnapshot, login: str):
@@ -89,15 +90,12 @@ def action_score(
     if f_cap <= 0:
         raise ConfigError(f"f_cap must be positive, got {f_cap}")
 
-    def keep(login: str) -> bool:
-        return not (exclude_bots and _is_bot(login))
-
-    comments = [c for c in pr.issue_comments + pr.review_comments if keep(c.author)]
-    body_reviews = [r for r in pr.reviews if r.body and keep(r.author)]
-    comment_count = len(comments) + len(body_reviews)
-    non_author_count = sum(1 for c in comments if c.author != pr.author) + sum(
-        1 for r in body_reviews if r.author != pr.author
-    )
+    comments = [
+        e for e in discussion(pr)
+        if not _ignored(e.author, exclude_bots) and (e.body or not isinstance(e, Review))
+    ]
+    comment_count = len(comments)
+    non_author_count = sum(1 for c in comments if c.author != pr.author)
 
     end = pr.closed_at if pr.closed_at is not None else snapshot.fetched_at
     elapsed = int((end - pr.created_at).total_seconds())
@@ -126,13 +124,11 @@ def action_score(
 
 def _earliest_feedback(pr: PullRequest, exclude_bots: bool) -> datetime | None:
     """Timestamp of the first non-author comment or review, or None."""
-    candidates: list[tuple[datetime, int]] = []
-    for comment in pr.issue_comments + pr.review_comments:
-        if comment.author != pr.author and not (exclude_bots and _is_bot(comment.author)):
-            candidates.append((comment.created_at, comment.id))
-    for review in pr.reviews:
-        if review.author != pr.author and not (exclude_bots and _is_bot(review.author)):
-            candidates.append((review.submitted_at, review.id))
+    candidates = [
+        (e.created_at, e.id)
+        for e in discussion(pr)
+        if e.author != pr.author and not _ignored(e.author, exclude_bots)
+    ]
     return min(candidates)[0] if candidates else None
 
 
@@ -159,7 +155,9 @@ def commitment_score(pr: PullRequest) -> DimensionScore:
             requested_at[request.requestee] = request.requested_at
 
     responded = {
-        login for login, since in requested_at.items() if _responded(pr, login, since)
+        login
+        for login, since in requested_at.items()
+        if any(e.author == login and e.created_at >= since for e in discussion(pr))
     }
     change_requests = [r for r in pr.reviews if r.verdict == "changes_requested"]
     author_addressed = all(
@@ -184,16 +182,6 @@ def commitment_score(pr: PullRequest) -> DimensionScore:
     total = sum(w for w, _ in weighted)
     score = sum(w * v for w, v in weighted) / total
     return DimensionScore("commitment", True, score, evidence)
-
-
-def _responded(pr: PullRequest, login: str, since: datetime) -> bool:
-    for review in pr.reviews:
-        if review.author == login and review.submitted_at >= since:
-            return True
-    for comment in pr.issue_comments + pr.review_comments:
-        if comment.author == login and comment.created_at >= since:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +257,13 @@ def institutional_score(
     the author lists no organizations; otherwise the fraction whose org
     set intersects the author's.
     """
-    participants: set[str] = set()
-    for comment in pr.issue_comments + pr.review_comments:
-        participants.add(comment.author)
-    for review in pr.reviews:
-        participants.add(review.author)
+    participants = {e.author for e in discussion(pr)}
     if pr.closer is not None:
         participants.add(pr.closer)
     counterparties = sorted(
         login
         for login in participants
-        if login != pr.author and not (exclude_bots and _is_bot(login))
+        if login != pr.author and not _ignored(login, exclude_bots)
     )
 
     author_orgs = _profile(snapshot, pr.author).orgs
@@ -458,18 +442,18 @@ def transferred_detect(
     language understanding.
     """
     vouches: list[dict[str, Any]] = []
-    for event_id, author, body in _bodies(pr):
-        if author == pr.author or not body:
+    for event in discussion(pr):
+        if event.author == pr.author or not event.body:
             continue
-        hit = lexicon.find(body)
+        hit = lexicon.find(event.body)
         if hit is None:
             continue
         pattern, start, end = hit
-        if not _references_author(body, (start, end), pr.author):
+        if not _references_author(event.body, (start, end), pr.author):
             continue
-        if not _is_established(author, pr, snapshot):
+        if not _is_established(event.author, pr, snapshot):
             continue
-        vouches.append({"comment_id": event_id, "pattern": pattern, "voucher": author})
+        vouches.append({"comment_id": event.id, "pattern": pattern, "voucher": event.author})
 
     return DimensionScore(
         dimension="transferred",
@@ -477,15 +461,6 @@ def transferred_detect(
         score=1.0 if vouches else 0.0,
         evidence={"vouches": vouches, "low_confidence": True},
     )
-
-
-def _bodies(pr: PullRequest):
-    for comment in pr.issue_comments:
-        yield comment.id, comment.author, comment.body
-    for comment in pr.review_comments:
-        yield comment.id, comment.author, comment.body
-    for review in pr.reviews:
-        yield review.id, review.author, review.body
 
 
 def _references_author(body: str, span: tuple[int, int], author: str) -> bool:

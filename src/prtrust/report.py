@@ -8,7 +8,7 @@ LF newlines; emission is deterministic (same bundle, identical bytes).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -25,6 +25,18 @@ FORMATS = ("json", "csv", "markdown")
 CSV_COLUMNS = (
     "pr_number", "outcome", "action", "commitment", "competence",
     "institutional", "personality", "transferred", "overall", "coverage",
+)
+
+# The markdown summary's rows: (label, StratumSummary field).
+_SUMMARY_ROWS = (
+    ("Pull requests", "pr_count"),
+    ("Mean comment frequency (per day)", "mean_comment_frequency"),
+    ("PRs with post-feedback commits", "prs_with_post_feedback_commits"),
+    ("PRs with a review response", "prs_with_review_response"),
+    ("PRs by first-time authors", "first_timer_prs"),
+    ("PRs with a shared-org counterparty", "prs_with_shared_org_counterparty"),
+    ("PRs whose closer accepted all they closed", "prs_with_full_acceptance_closer"),
+    ("PRs with a transferred-trust vouch", "prs_with_transferred_flag"),
 )
 
 
@@ -91,19 +103,6 @@ def _profile_to_dict(profile: TrustProfile) -> dict:
     }
 
 
-def _stratum_to_dict(stratum: StratumSummary) -> dict:
-    return {
-        "pr_count": stratum.pr_count,
-        "mean_comment_frequency": stratum.mean_comment_frequency,
-        "prs_with_post_feedback_commits": stratum.prs_with_post_feedback_commits,
-        "prs_with_review_response": stratum.prs_with_review_response,
-        "first_timer_prs": stratum.first_timer_prs,
-        "prs_with_shared_org_counterparty": stratum.prs_with_shared_org_counterparty,
-        "prs_with_full_acceptance_closer": stratum.prs_with_full_acceptance_closer,
-        "prs_with_transferred_flag": stratum.prs_with_transferred_flag,
-    }
-
-
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     return {
         "version": bundle.version,
@@ -115,8 +114,8 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
         "config": bundle.config,
         "profiles": [_profile_to_dict(p) for p in bundle.profiles],
         "summary": {
-            "accepted": _stratum_to_dict(bundle.summary.accepted),
-            "rejected": _stratum_to_dict(bundle.summary.rejected),
+            "accepted": asdict(bundle.summary.accepted),
+            "rejected": asdict(bundle.summary.rejected),
         },
     }
 
@@ -186,10 +185,6 @@ def csv_text(bundle: ReportBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _count(value: int) -> str:
-    return str(value)
-
-
 def markdown_summary(bundle: ReportBundle) -> str:
     """Render the per-stratum summary table as GitHub-flavored markdown."""
     accepted = bundle.summary.accepted
@@ -207,39 +202,6 @@ def markdown_summary(bundle: ReportBundle) -> str:
             return None
         return sum(n * m for n, m in parts) / total_n
 
-    rows = [
-        ("Pull requests", _count(accepted.pr_count), _count(rejected.pr_count),
-         _count(accepted.pr_count + rejected.pr_count)),
-        ("Mean comment frequency (per day)",
-         format_score(accepted.mean_comment_frequency),
-         format_score(rejected.mean_comment_frequency),
-         format_score(mean_total())),
-        ("PRs with post-feedback commits",
-         _count(accepted.prs_with_post_feedback_commits),
-         _count(rejected.prs_with_post_feedback_commits),
-         _count(accepted.prs_with_post_feedback_commits + rejected.prs_with_post_feedback_commits)),
-        ("PRs with a review response",
-         _count(accepted.prs_with_review_response),
-         _count(rejected.prs_with_review_response),
-         _count(accepted.prs_with_review_response + rejected.prs_with_review_response)),
-        ("PRs by first-time authors",
-         _count(accepted.first_timer_prs),
-         _count(rejected.first_timer_prs),
-         _count(accepted.first_timer_prs + rejected.first_timer_prs)),
-        ("PRs with a shared-org counterparty",
-         _count(accepted.prs_with_shared_org_counterparty),
-         _count(rejected.prs_with_shared_org_counterparty),
-         _count(accepted.prs_with_shared_org_counterparty + rejected.prs_with_shared_org_counterparty)),
-        ("PRs whose closer accepted all they closed",
-         _count(accepted.prs_with_full_acceptance_closer),
-         _count(rejected.prs_with_full_acceptance_closer),
-         _count(accepted.prs_with_full_acceptance_closer + rejected.prs_with_full_acceptance_closer)),
-        ("PRs with a transferred-trust vouch",
-         _count(accepted.prs_with_transferred_flag),
-         _count(rejected.prs_with_transferred_flag),
-         _count(accepted.prs_with_transferred_flag + rejected.prs_with_transferred_flag)),
-    ]
-
     lines = [
         f"# Trust summary: {bundle.repo_owner}/{bundle.repo_name}",
         "",
@@ -250,7 +212,13 @@ def markdown_summary(bundle: ReportBundle) -> str:
         "| Statistic | Accepted | Rejected | Total |",
         "| --- | ---: | ---: | ---: |",
     ]
-    lines.extend(f"| {name} | {a} | {r} | {t} |" for name, a, r, t in rows)
+    for label, key in _SUMMARY_ROWS:
+        a, r = getattr(accepted, key), getattr(rejected, key)
+        if key == "mean_comment_frequency":
+            cells = (format_score(a), format_score(r), format_score(mean_total()))
+        else:
+            cells = (str(a), str(r), str(a + r))
+        lines.append(f"| {label} | {' | '.join(cells)} |")
     return "\n".join(lines) + "\n"
 
 

@@ -139,3 +139,15 @@ def test_fetch_rejects_bad_repo_argument(tmp_path, capsys):
 
 def test_summary_of_missing_report_exits_1(tmp_path):
     assert run(["summary", "--in", str(tmp_path / "none.json")]) == 1
+
+
+def test_analyze_empty_snapshot_exits_1_with_a_clear_message(tmp_path, capsys):
+    empty = rich_snapshot_dict()
+    empty["pulls"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(empty), encoding="utf-8")
+    code = run(["analyze", "--in", str(path), "--out", str(tmp_path / "r.json"),
+                "--format", "json"])
+    assert code == 1
+    assert "holds no pull requests" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
+import sys
 import threading
+from datetime import datetime, timezone
 
 import pytest
 
@@ -286,6 +290,96 @@ def test_warm_cache_serves_everything_and_is_byte_identical(tmp_path):
     save_snapshot(cold, a)
     save_snapshot(warm, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+class _FrozenClock(datetime):
+    """Stands in for ``datetime`` in the fetcher, so retrieval times repeat."""
+
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2022, 2, 1, tzinfo=timezone.utc)
+
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    monkeypatch.setattr("prtrust.ingest.datetime", _FrozenClock)
+
+
+def _cache_entry(cache, url):
+    return cache / f"{hashlib.sha256(url.encode('utf-8')).hexdigest()}.json"
+
+
+def test_cold_fetch_writes_one_cache_file_per_response(tmp_path):
+    cache = tmp_path / "cache"
+    session = FakeSession(demo_routes())
+    fetch_snapshot(_plan(cache_dir=cache), session=session)
+    # every 200 of the demo routes carries an ETag; the 403 is not cached
+    assert len(list(cache.iterdir())) == session.status_log.count(200)
+    assert sorted({path.suffix for path in cache.iterdir()}) == [".json"]
+
+
+def test_concurrent_fetches_share_one_cache(tmp_path, frozen_clock):
+    plan = _plan(cache_dir=tmp_path / "cache", concurrency=4)
+    snapshots, errors = [], []
+
+    def fetch():
+        try:
+            snapshots.append(fetch_snapshot(plan, session=FakeSession(demo_routes())))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    saved = []
+    for i, snap in enumerate(snapshots):
+        path = tmp_path / f"snap{i}.json"
+        save_snapshot(snap, path)
+        saved.append(path.read_bytes())
+    assert len(saved) == 2 and saved[0] == saved[1]
+    assert list((tmp_path / "cache").glob("*.tmp")) == []
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _not_an_object(path):
+    path.write_text("[1, 2]", encoding="utf-8")
+
+
+def _old_layout(path):
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    etag = envelope.pop("etag")
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+    path.with_suffix(".etag").write_text(etag, encoding="utf-8")
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout])
+def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
+    cache = tmp_path / "cache"
+    cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    entry = _cache_entry(cache, LIST_CLOSED)
+    corrupt(entry)
+
+    session = FakeSession(demo_routes())
+    warm = fetch_snapshot(_plan(cache_dir=cache), session=session)
+    refetched = [(headers, status) for (url, headers), status
+                 in zip(session.calls, session.status_log) if url == LIST_CLOSED]
+    assert refetched == [(refetched[0][0], 200)]
+    assert "If-None-Match" not in refetched[0][0]
+    assert json.loads(entry.read_text(encoding="utf-8"))["etag"] == 'W/"list1"'
+    assert warm == cold
 
 
 def test_missing_repo_aborts_with_not_found():
