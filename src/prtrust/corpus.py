@@ -293,14 +293,20 @@ def _time_field(data: dict, key: str, where: str) -> datetime:
     return parse_timestamp(_take(data, key, where), f"{where}.{key}")
 
 
-_FIELD_READERS = {"int": _int_field, "str": _str_field, "datetime": _time_field}
+# How a field is read from JSON and written back, by annotation (None: as is).
+_FIELD_CODECS = {
+    "int": (_int_field, None),
+    "str": (_str_field, None),
+    "datetime": (_time_field, format_timestamp),
+}
 
 # Each event's JSON keys, in the order they are encoded and checked, are its
-# dataclass fields: (name, annotation) pairs.
+# dataclass fields: name -> (read, write).
 _EVENT_FIELDS = {
-    cls: tuple((f.name, f.type) for f in fields(cls))
+    cls: {f.name: _FIELD_CODECS[f.type] for f in fields(cls)}
     for cls in (Comment, Review, ReviewRequest, CommitEvent)
 }
+_PR_KEYS = frozenset(f.name for f in fields(PullRequest))
 
 # The event lists of a pull request, in JSON key order.
 _EVENT_LISTS = (
@@ -314,13 +320,12 @@ _EVENT_LISTS = (
 
 def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
     spec = _EVENT_FIELDS[cls]
-    names = [name for name, _ in spec]
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
         at = f"{where}.{key}[{i}]"
         raw = _require_dict(raw, at)
-        _check_keys(raw, names, at)
-        events.append(cls(*[_FIELD_READERS[kind](raw, name, at) for name, kind in spec]))
+        _check_keys(raw, spec.keys(), at)
+        events.append(cls(*[read(raw, name, at) for name, (read, _) in spec.items()]))
     return tuple(events)
 
 
@@ -357,7 +362,7 @@ def _decode_user(data: Any, where: str) -> UserProfile:
 def _decode_pull(data: Any, index: int) -> PullRequest:
     where = f"pulls[{index}]"
     data = _require_dict(data, where)
-    _check_keys(data, (f.name for f in fields(PullRequest)), where)
+    _check_keys(data, _PR_KEYS, where)
     number = _int_field(data, "number", where)
     where = f"PR {number}"
 
@@ -600,9 +605,9 @@ def _encode_pull(pr: PullRequest) -> dict:
 
 def _encode_event(event: Any) -> dict:
     out = {}
-    for name, kind in _EVENT_FIELDS[type(event)]:
+    for name, (_, write) in _EVENT_FIELDS[type(event)].items():
         value = getattr(event, name)
-        out[name] = format_timestamp(value) if kind == "datetime" else value
+        out[name] = write(value) if write else value
     return out
 
 

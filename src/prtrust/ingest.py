@@ -402,11 +402,17 @@ def fetch_snapshot(
             )
             return None, set()
 
+    def collect(result: tuple[PullRequest | None, set[str]]) -> None:
+        pr, seen = result
+        if pr is not None:
+            pulls[pr.number] = pr
+            logins.update(seen)
+
     try:
         _run_bounded(
             [lambda item=item: fetch_one(item) for item in listed],
             plan.concurrency,
-            lambda result: _collect_pull(result, pulls, logins),
+            collect,
         )
     except FetchError as exc:
         raise PartialFetchError(
@@ -441,17 +447,6 @@ def fetch_snapshot(
     )
     validate(snapshot)
     return snapshot
-
-
-def _collect_pull(
-    result: tuple[PullRequest | None, set[str]],
-    pulls: dict[int, PullRequest],
-    logins: set[str],
-) -> None:
-    pr, seen = result
-    if pr is not None:
-        pulls[pr.number] = pr
-        logins.update(seen)
 
 
 def _run_bounded(tasks: list, concurrency: int, consume: Callable[[Any], None]) -> None:
