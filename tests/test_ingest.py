@@ -305,10 +305,6 @@ def frozen_clock(monkeypatch):
     monkeypatch.setattr("prtrust.ingest.datetime", _FrozenClock)
 
 
-def _cache_entry(cache, url):
-    return cache / f"{hashlib.sha256(url.encode('utf-8')).hexdigest()}.json"
-
-
 def test_cold_fetch_writes_one_cache_file_per_response(tmp_path):
     cache = tmp_path / "cache"
     session = FakeSession(demo_routes())
@@ -369,15 +365,15 @@ def _old_layout(path):
 def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
     cache = tmp_path / "cache"
     cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
-    entry = _cache_entry(cache, LIST_CLOSED)
+    entry = cache / f"{hashlib.sha256(LIST_CLOSED.encode('utf-8')).hexdigest()}.json"
     corrupt(entry)
 
     session = FakeSession(demo_routes())
     warm = fetch_snapshot(_plan(cache_dir=cache), session=session)
-    refetched = [(headers, status) for (url, headers), status
-                 in zip(session.calls, session.status_log) if url == LIST_CLOSED]
-    assert refetched == [(refetched[0][0], 200)]
-    assert "If-None-Match" not in refetched[0][0]
+    calls = [(headers, status) for (url, headers), status
+             in zip(session.calls, session.status_log) if url == LIST_CLOSED]
+    assert [status for _, status in calls] == [200]
+    assert "If-None-Match" not in calls[0][0]
     assert json.loads(entry.read_text(encoding="utf-8"))["etag"] == 'W/"list1"'
     assert warm == cold
 
