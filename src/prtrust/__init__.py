@@ -72,4 +72,4 @@ from .report import (  # noqa: F401
     load_bundle,
     markdown_summary,
 )
-from .ingest import FetchPlan, GitHubClient, RateBudget, fetch_snapshot, reconstruct_review_requests  # noqa: F401
+from .ingest import FetchPlan, GitHubClient, fetch_snapshot, reconstruct_review_requests  # noqa: F401

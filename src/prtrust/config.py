@@ -14,6 +14,7 @@ Command-line flags always override config-file values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import inf
 from pathlib import Path
 
 from .errors import ConfigError
@@ -57,8 +58,8 @@ class AnalysisConfig:
         if set(self.weights) != set(DIMENSIONS):
             raise ConfigError(f"weights must cover exactly the dimensions {DIMENSIONS}")
         for dimension, weight in self.weights.items():
-            if weight <= 0:
-                raise ConfigError(f"weights.{dimension} must be positive, got {weight}")
+            if not 0 < weight < inf:
+                raise ConfigError(f"weights.{dimension} must be positive and finite, got {weight}")
 
     def load_lexicon(self) -> VouchLexicon:
         """Resolve the vouch lexicon: the configured file or the built-in one."""
@@ -69,7 +70,7 @@ class AnalysisConfig:
 
 # (key, test that rejects the value, requirement named in the error)
 _RANGES = (
-    ("f_cap", lambda v: v <= 0, "must be positive"),
+    ("f_cap", lambda v: not 0 < v < inf, "must be positive and finite"),
     ("competence_window", lambda v: v < 1, "must be >= 1"),
     ("accept_ratio", lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]"),
     ("per_repo_n", lambda v: v < 1, "must be >= 1"),

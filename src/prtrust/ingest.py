@@ -9,10 +9,14 @@ events so reviewers who already responded are still counted.
 Cache layout: one file per response, {cache_dir}/{sha256(url)}.json,
 holding {"url", "retrieved_at", "link_next", "etag", "body"}. Entries are
 written through a unique temporary file and renamed into place, so
-processes may share a cache directory; an entry that is unreadable or not
-in this layout is a miss. A warm cache answers every request with a 304
-revalidation, and the recorded retrieval times are reused, so re-runs
-produce byte-identical snapshots.
+processes may share a cache directory; an entry that is unreadable, not
+in this layout, or whose retrieval time does not parse is a miss. A warm
+cache answers every request with a 304 revalidation, and the recorded
+retrieval times are reused, so re-runs produce byte-identical snapshots.
+
+A payload that does not have the shape GitHub documents (a missing id, a
+field of the wrong type) aborts the fetch with PartialFetchError, which
+names the PRs completed before it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 from urllib.parse import quote
 
 import requests
@@ -44,13 +48,22 @@ from .corpus import (
     Review,
     ReviewRequest,
     UserProfile,
+    _int_field,
+    _str_field,
     classify_contribution,
     discussion,
     format_timestamp,
     parse_timestamp,
     validate,
 )
-from .errors import AuthError, FetchError, NotFoundError, PartialFetchError, RateLimitError
+from .errors import (
+    AuthError,
+    FetchError,
+    NotFoundError,
+    PartialFetchError,
+    RateLimitError,
+    SnapshotParseError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -87,19 +100,11 @@ class FetchPlan:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
 
 
-@dataclass
-class RateBudget:
-    """Remaining API quota as reported by response headers."""
-
-    remaining: int | None = None
-    reset_at: datetime | None = None
-
-
 class GitHubClient:
     """Minimal GitHub REST client: caching, retries, rate-limit handling.
 
-    Thread-safe for concurrent GETs of distinct URLs; the rate budget and
-    retrieval-time bookkeeping are lock-protected.
+    Thread-safe for concurrent GETs of distinct URLs; the request counts
+    and retrieval-time bookkeeping are lock-protected.
     """
 
     def __init__(
@@ -116,7 +121,6 @@ class GitHubClient:
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
         self._lock = threading.Lock()
-        self.budget = RateBudget()
         self.max_retrieved_at: datetime | None = None
         self.stats = {"http_requests": 0, "cache_hits": 0, "uncached": 0}
 
@@ -129,6 +133,7 @@ class GitHubClient:
         return self._cache_dir / f"{digest}.json"
 
     def _read_cached(self, url: str) -> dict | None:
+        """The cached envelope with ``retrieved_at`` parsed, or None on a miss."""
         path = self._cache_path(url)
         if path is None:
             return None
@@ -137,6 +142,10 @@ class GitHubClient:
         except (OSError, ValueError):
             return None
         if not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS):
+            return None
+        try:
+            envelope["retrieved_at"] = parse_timestamp(envelope["retrieved_at"], "cache entry")
+        except SnapshotParseError:
             return None
         return envelope
 
@@ -155,25 +164,12 @@ class GitHubClient:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _note_retrieved(self, retrieved_at: datetime) -> None:
+    def _note_retrieved(self, retrieved_at: datetime, source: str) -> None:
+        """Count a response served from ``source`` and track the newest retrieval."""
         with self._lock:
+            self.stats[source] += 1
             if self.max_retrieved_at is None or retrieved_at > self.max_retrieved_at:
                 self.max_retrieved_at = retrieved_at
-
-    def _update_budget(self, headers: Any) -> None:
-        remaining = headers.get("X-RateLimit-Remaining")
-        reset = headers.get("X-RateLimit-Reset")
-        with self._lock:
-            if remaining is not None:
-                try:
-                    self.budget.remaining = int(remaining)
-                except ValueError:
-                    pass
-            if reset is not None:
-                try:
-                    self.budget.reset_at = datetime.fromtimestamp(int(reset), tz=timezone.utc)
-                except ValueError:
-                    pass
 
     # -- requests -----------------------------------------------------------
 
@@ -212,15 +208,11 @@ class GitHubClient:
                 retries += 1
                 continue
 
-            self._update_budget(response.headers)
             status = response.status_code
 
             if status == 304 and cached is not None:
-                retrieved_at = parse_timestamp(cached["retrieved_at"], "cache entry")
-                self._note_retrieved(retrieved_at)
-                with self._lock:
-                    self.stats["cache_hits"] += 1
-                return cached["body"], retrieved_at, cached["link_next"]
+                self._note_retrieved(cached["retrieved_at"], "cache_hits")
+                return cached["body"], cached["retrieved_at"], cached["link_next"]
 
             if status == 200:
                 retrieved_at = datetime.now(timezone.utc).replace(microsecond=0)
@@ -237,16 +229,14 @@ class GitHubClient:
                     "body": payload,
                 }
                 self._write_cached(url, envelope)
-                self._note_retrieved(retrieved_at)
-                with self._lock:
-                    self.stats["uncached"] += 1
+                self._note_retrieved(retrieved_at, "uncached")
                 return payload, retrieved_at, link_next
 
             if status == 404:
                 raise NotFoundError(f"not found: {url}")
 
             if status in (403, 429) and _is_rate_limited(response):
-                reset_at = self.budget.reset_at
+                reset_at = _reset_time(response.headers)
                 if self._token and rate_waits < _MAX_RATE_WAITS:
                     delay = _seconds_until(reset_at, response.headers)
                     logger.warning("rate limit exhausted; waiting %.0f s until reset", delay)
@@ -305,6 +295,14 @@ def _is_rate_limited(response: Any) -> bool:
     return response.headers.get("Retry-After") is not None
 
 
+def _reset_time(headers: Any) -> datetime | None:
+    """When the rate limit resets, from the limited response's own header."""
+    try:
+        return datetime.fromtimestamp(int(headers.get("X-RateLimit-Reset")), tz=timezone.utc)
+    except (TypeError, ValueError, OverflowError, OSError):
+        return None
+
+
 def _seconds_until(reset_at: datetime | None, headers: Any) -> float:
     retry_after = headers.get("Retry-After")
     if retry_after is not None:
@@ -333,8 +331,7 @@ def reconstruct_review_requests(timeline_events: list) -> list[ReviewRequest]:
     for event in timeline_events:
         if not isinstance(event, dict) or event.get("event") != "review_requested":
             continue
-        reviewer = event.get("requested_reviewer") or {}
-        login = reviewer.get("login")
+        login = _login(event.get("requested_reviewer"), None)
         raw_time = event.get("created_at")
         if not login or not raw_time:
             continue
@@ -347,17 +344,22 @@ def reconstruct_review_requests(timeline_events: list) -> list[ReviewRequest]:
     ]
 
 
+def _login(account: Any, default: str | None) -> str | None:
+    """The login of a GitHub account object, or ``default`` when it has none."""
+    return (account or {}).get("login") or default
+
+
 def _closer_from_timeline(timeline_events: list, merged: bool) -> str | None:
     closed_actor = None
     for event in timeline_events:
         if not isinstance(event, dict):
             continue
         kind = event.get("event")
-        actor = (event.get("actor") or {}).get("login")
+        actor = _login(event.get("actor"), _GHOST)
         if kind == "merged" and merged:
-            return actor or _GHOST
+            return actor
         if kind == "closed":
-            closed_actor = actor or _GHOST
+            closed_actor = actor
     return closed_actor
 
 
@@ -374,9 +376,10 @@ def fetch_snapshot(
 
     Covers the max_pulls most recent PRs (reordered ascending). A missing
     repository aborts with NotFoundError; a PR whose sub-resources have
-    vanished is skipped with a warning. Failures after the PR listing are
-    wrapped in PartialFetchError carrying the completed PR numbers; the
-    cache makes a re-run resume cheaply.
+    vanished is skipped with a warning. Any other failure after the PR
+    listing, a malformed payload included, is wrapped in PartialFetchError
+    carrying the completed PR numbers; the cache makes a re-run resume
+    cheaply.
     """
     token = plan.auth_token or os.environ.get("GITHUB_TOKEN")
     client = GitHubClient(token=token, cache_dir=plan.cache_dir, session=session, sleep=sleep)
@@ -391,49 +394,45 @@ def fetch_snapshot(
     listed = client.get_paginated(list_url, stop_after=plan.max_pulls)[: plan.max_pulls]
 
     pulls: dict[int, PullRequest] = {}
-    logins: set[str] = set()
+    users: dict[str, UserProfile] = {}
 
-    def fetch_one(item: dict) -> tuple[PullRequest | None, set[str]]:
+    def fetch_one(item: dict) -> PullRequest | None:
         try:
             return _fetch_pull(client, owner, name, item)
         except NotFoundError:
             logger.warning(
                 "PR #%s disappeared while fetching; skipping", item.get("number")
             )
-            return None, set()
+            return None
 
-    def collect(result: tuple[PullRequest | None, set[str]]) -> None:
-        pr, seen = result
+    def collect(pr: PullRequest | None) -> None:
         if pr is not None:
             pulls[pr.number] = pr
-            logins.update(seen)
 
+    loading_users = False
     try:
         _run_bounded(
             [lambda item=item: fetch_one(item) for item in listed],
             plan.concurrency,
             collect,
         )
-    except FetchError as exc:
-        raise PartialFetchError(
-            f"fetch aborted after {len(pulls)} of {len(listed)} PRs: {exc}",
-            completed=frozenset(pulls),
-        ) from exc
-
-    users: dict[str, UserProfile] = {}
-    try:
+        loading_users = True
+        logins = sorted({login for pr in pulls.values() for login, _ in _acts(pr)})
         _run_bounded(
-            [lambda login=login: _fetch_user(client, owner, name, login) for login in sorted(logins)],
+            [lambda login=login: _fetch_user(client, owner, name, login) for login in logins],
             plan.concurrency,
             lambda profile: users.__setitem__(profile.login, profile),
         )
-    except FetchError as exc:
+    except Exception as exc:
+        stage = (
+            "while loading user profiles" if loading_users
+            else f"after {len(pulls)} of {len(listed)} PRs"
+        )
         raise PartialFetchError(
-            f"fetch aborted while loading user profiles: {exc}",
-            completed=frozenset(pulls),
+            f"fetch aborted {stage}: {exc}", completed=frozenset(pulls)
         ) from exc
 
-    event_max = _max_event_timestamp(pulls.values())
+    event_max = max((at for pr in pulls.values() for _, at in _acts(pr)), default=None)
     fetched_at = client.max_retrieved_at or datetime.now(timezone.utc).replace(microsecond=0)
     if event_max is not None and event_max > fetched_at:
         fetched_at = event_max
@@ -469,12 +468,10 @@ def _run_bounded(tasks: list, concurrency: int, consume: Callable[[Any], None]) 
             raise
 
 
-def _fetch_pull(
-    client: GitHubClient, owner: str, name: str, item: dict
-) -> tuple[PullRequest, set[str]]:
+def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> PullRequest:
     number = item["number"]
     base = f"{API_ROOT}/repos/{owner}/{name}"
-    author = (item.get("user") or {}).get("login") or _GHOST
+    author = _login(item.get("user"), _GHOST)
     created_at = parse_timestamp(item["created_at"], f"PR {number} created_at")
     merged = item.get("merged_at") is not None
     if item.get("state") == "open":
@@ -498,8 +495,8 @@ def _fetch_pull(
             continue  # pending or exotic review states carry no signal
         reviews.append(
             Review(
-                id=raw["id"],
-                author=(raw.get("user") or {}).get("login") or _GHOST,
+                id=_int_field(raw, "id", f"PR {number} review"),
+                author=_login(raw.get("user"), _GHOST),
                 submitted_at=parse_timestamp(raw["submitted_at"], f"PR {number} review"),
                 verdict=verdict,
                 body=raw.get("body") or "",
@@ -510,8 +507,8 @@ def _fetch_pull(
     def decode_comments(raw_list: list, what: str) -> list[Comment]:
         out = [
             Comment(
-                id=raw["id"],
-                author=(raw.get("user") or {}).get("login") or _GHOST,
+                id=_int_field(raw, "id", f"PR {number} {what}"),
+                author=_login(raw.get("user"), _GHOST),
                 created_at=parse_timestamp(raw["created_at"], f"PR {number} {what}"),
                 body=raw.get("body") or "",
             )
@@ -534,8 +531,8 @@ def _fetch_pull(
             committed_at = created_at
         commits.append(
             CommitEvent(
-                sha=raw["sha"],
-                author=(raw.get("author") or {}).get("login") or author,
+                sha=_str_field(raw, "sha", f"PR {number} commit"),
+                author=_login(raw.get("author"), author),
                 committed_at=committed_at,
             )
         )
@@ -549,7 +546,7 @@ def _fetch_pull(
         closer = _closer_from_timeline(timeline, merged) or _GHOST
 
     files = sorted(raw["filename"] for raw in files_raw)
-    pr = PullRequest(
+    return PullRequest(
         number=number,
         author=author,
         state=state,
@@ -565,13 +562,6 @@ def _fetch_pull(
         reviews=tuple(reviews),
         review_requests=tuple(requests_list),
     )
-
-    seen = {author} | {e.author for e in discussion(pr)}
-    seen |= {r.requestee for r in pr.review_requests}
-    seen |= {c.author for c in pr.commits}
-    if closer is not None:
-        seen.add(closer)
-    return pr, seen
 
 
 def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> UserProfile:
@@ -614,13 +604,14 @@ def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> User
     )
 
 
-def _max_event_timestamp(pulls) -> datetime | None:
-    stamps: list[datetime] = []
-    for pr in pulls:
-        stamps.append(pr.created_at)
-        if pr.closed_at is not None:
-            stamps.append(pr.closed_at)
-        stamps.extend(event.created_at for event in discussion(pr))
-        stamps.extend(request.requested_at for request in pr.review_requests)
-        stamps.extend(commit.committed_at for commit in pr.commits)
-    return max(stamps, default=None)
+def _acts(pr: PullRequest) -> Iterator[tuple[str, datetime]]:
+    """Yield (login, time) for every act the PR records, its opening included."""
+    yield pr.author, pr.created_at
+    if pr.closer is not None:
+        yield pr.closer, pr.closed_at
+    for event in discussion(pr):
+        yield event.author, event.created_at
+    for request in pr.review_requests:
+        yield request.requestee, request.requested_at
+    for commit in pr.commits:
+        yield commit.author, commit.committed_at

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
-from math import log10
+from math import inf, log10
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -87,8 +87,8 @@ def action_score(
     score = 0.5 * min(frequency / f_cap, 1) + 0.5 * [revision_commits > 0].
     Always available.
     """
-    if f_cap <= 0:
-        raise ConfigError(f"f_cap must be positive, got {f_cap}")
+    if not 0 < f_cap < inf:
+        raise ConfigError(f"f_cap must be positive and finite, got {f_cap}")
 
     comments = [
         e for e in discussion(pr)
@@ -208,20 +208,13 @@ def competence_score(
     if window < 1:
         raise ConfigError(f"competence window must be >= 1, got {window}")
 
-    priors = [p for p in snapshot.pulls if p.number < pr.number][-window:]
-    decided = [p for p in priors if p.author == pr.author and p.state != "open"]
-    prior_count = len(decided)
-    prior_accepted = sum(1 for p in decided if p.state == "merged")
+    prior_count, prior_accepted = _track_record(snapshot, pr.author, pr.number, window)
 
     profile = _profile(snapshot, pr.author)
     c_hist = prior_accepted / prior_count if prior_count else None
     c_follow = min(log10(1 + profile.followers) / 3.0, 1.0)
-    if profile.permission_unknown:
-        c_perm = None
-        has_write: bool | None = None
-    else:
-        has_write = profile.permission in ("write", "admin")
-        c_perm = 1.0 if has_write else 0.0
+    has_write = _has_write(profile)
+    c_perm = None if has_write is None else float(has_write)
 
     components = [c for c in (c_hist, c_follow, c_perm) if c is not None]
     available = bool(components)
@@ -238,6 +231,27 @@ def competence_score(
             "has_write": has_write,
         },
     )
+
+
+def _track_record(
+    snapshot: RepoSnapshot, login: str, before: int, window: int | None = None
+) -> tuple[int, int]:
+    """(decided, merged) counts of the user's PRs numbered below ``before``.
+
+    A ``window`` limits them to the ``window`` most recent repo PRs below it.
+    """
+    priors = [p for p in snapshot.pulls if p.number < before]
+    if window is not None:
+        priors = priors[-window:]
+    decided = [p for p in priors if p.author == login and p.state != "open"]
+    return len(decided), sum(1 for p in decided if p.state == "merged")
+
+
+def _has_write(profile) -> bool | None:
+    """Whether the user holds write or admin permission; None when unknown."""
+    if profile.permission_unknown:
+        return None
+    return profile.permission in ("write", "admin")
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +488,7 @@ def _references_author(body: str, span: tuple[int, int], author: str) -> bool:
 
 
 def _is_established(login: str, pr: PullRequest, snapshot: RepoSnapshot) -> bool:
-    profile = _profile(snapshot, login)
-    if not profile.permission_unknown and profile.permission in ("write", "admin"):
+    if _has_write(_profile(snapshot, login)):
         return True
-    decided = [
-        p for p in snapshot.pulls
-        if p.number < pr.number and p.author == login and p.state != "open"
-    ]
-    if len(decided) < 5:
-        return False
-    accepted = sum(1 for p in decided if p.state == "merged")
-    return accepted / len(decided) >= 0.5
+    decided, merged = _track_record(snapshot, login, pr.number)
+    return decided >= 5 and merged / decided >= 0.5

@@ -7,6 +7,7 @@ recomputation in tests/oracle.py.
 
 from __future__ import annotations
 
+import copy
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -277,6 +278,30 @@ def sampling_dict(accepted: int = 28, rejected: int = 12) -> dict:
                  closed=iso(days=1), closer="boss")
         )
     return snapshot(pulls, users)
+
+
+# Values that replace one JSON field in the mutation fuzzers.
+MUTANTS = (None, "x", 7, [], {})
+
+
+def json_paths(node, prefix: tuple = ()):
+    """Yield the path of every value in a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+def replace_at(root, path: tuple, value) -> None:
+    """Set the value at a non-empty ``path`` inside ``root`` to a copy of ``value``."""
+    for key in path[:-1]:
+        root = root[key]
+    root[path[-1]] = copy.deepcopy(value)
 
 
 @pytest.fixture

@@ -89,10 +89,12 @@ def test_analyze_honors_config_file(snapshot_file, tmp_path):
 
 def test_bad_config_exits_1(snapshot_file, tmp_path):
     config = tmp_path / "bad.conf"
-    config.write_text("f_cap = -1\n", encoding="utf-8")
-    code = run(["analyze", "--in", str(snapshot_file), "--config", str(config),
-                "--out", str(tmp_path / "r.json"), "--format", "json"])
-    assert code == 1
+    for line in ("f_cap = -1", "f_cap = nan", "f_cap = inf",
+                 "weights.action = nan", "weights.action = inf"):
+        config.write_text(line + "\n", encoding="utf-8")
+        code = run(["analyze", "--in", str(snapshot_file), "--config", str(config),
+                    "--out", str(tmp_path / "r.json"), "--format", "json"])
+        assert code == 1, line
 
 
 def test_unknown_flag_prints_usage_and_exits_1(capsys):

@@ -6,8 +6,24 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FETCHED, comment, commit, iso, pull, request, review, snapshot, user
+from conftest import (
+    FETCHED,
+    MUTANTS,
+    comment,
+    commit,
+    iso,
+    json_paths,
+    pull,
+    replace_at,
+    request,
+    review,
+    rich_snapshot_dict,
+    snapshot,
+    user,
+)
 from prtrust import (
     SnapshotError,
     SnapshotParseError,
@@ -233,3 +249,17 @@ def test_fetched_matches_external_interface_timestamp_format():
     encoded = snapshot_to_dict(snap)
     assert encoded["repo"]["fetched_at"] == FETCHED
     assert encoded["pulls"][0]["created_at"] == "2022-01-01T00:00:00Z"
+
+
+_RICH_PATHS = [path for path in json_paths(rich_snapshot_dict()) if path]
+
+
+@given(st.sampled_from(_RICH_PATHS), st.sampled_from(MUTANTS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_single_field_mutation_raises_only_snapshot_error(path, value):
+    data = rich_snapshot_dict()
+    replace_at(data, path, value)
+    try:
+        snapshot_from_dict(data)
+    except SnapshotError:
+        pass

@@ -10,7 +10,10 @@ import threading
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import MUTANTS, json_paths, replace_at
 from prtrust import (
     AuthError,
     FetchError,
@@ -20,6 +23,8 @@ from prtrust import (
     PartialFetchError,
     RateLimitError,
     ReviewRequest,
+    SnapshotError,
+    SnapshotParseError,
     fetch_snapshot,
     reconstruct_review_requests,
     save_snapshot,
@@ -361,7 +366,13 @@ def _old_layout(path):
     path.with_suffix(".etag").write_text(etag, encoding="utf-8")
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout])
+def _unparsable_time(path):
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["retrieved_at"] = "yesterday"
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout, _unparsable_time])
 def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
     cache = tmp_path / "cache"
     cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
@@ -406,6 +417,39 @@ def test_rate_limit_without_token_is_resumable():
     assert err.value.completed == frozenset({3})
     assert isinstance(err.value.__cause__, RateLimitError)
     assert "resume" in str(err.value.__cause__)
+    # the limited response's own X-RateLimit-Reset
+    assert err.value.__cause__.reset_at == datetime(2022, 1, 8, tzinfo=timezone.utc)
+
+
+def test_malformed_payload_aborts_with_completed_prs():
+    routes = demo_routes()
+    routes[f"{REPO}/pulls/2/reviews?per_page=100"]["payload"] = [
+        {"id": "r1", "user": {"login": "gabe"}, "state": "APPROVED",
+         "submitted_at": "2022-01-05T12:00:00Z", "body": ""},
+    ]
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(), session=FakeSession(routes))
+    assert err.value.completed == frozenset({3})
+    assert str(err.value).startswith("fetch aborted after 1 of 3 PRs: ")
+    assert isinstance(err.value.__cause__, SnapshotParseError)
+
+
+_ROUTE_PATHS = [
+    (url, "payload", *path)
+    for url, spec in demo_routes().items() if isinstance(spec, dict)
+    for path in json_paths(spec["payload"])
+]
+
+
+@given(st.sampled_from(_ROUTE_PATHS), st.sampled_from(MUTANTS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_single_field_mutation_raises_only_typed_errors(path, value):
+    routes = demo_routes()
+    replace_at(routes, path, value)
+    try:
+        fetch_snapshot(_plan(), session=FakeSession(routes))
+    except (FetchError, SnapshotError):
+        pass
 
 
 def test_rate_limit_with_token_waits_until_reset():

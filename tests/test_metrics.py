@@ -101,8 +101,9 @@ def test_action_bot_comments_excluded_by_default():
 
 def test_action_rejects_nonpositive_cap():
     snap = build([pull(1, "dev")], BASE_USERS)
-    with pytest.raises(ConfigError):
-        action_score(snap.pulls[0], snap, f_cap=0)
+    for f_cap in (0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            action_score(snap.pulls[0], snap, f_cap=f_cap)
 
 
 # ---------------------------------------------------------------------------
