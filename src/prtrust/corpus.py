@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -159,10 +160,49 @@ class PullRequest:
 
 
 @dataclass(frozen=True)
+class PullHistory:
+    """Who authored and who closed the decided (merged or closed-unmerged) PRs.
+
+    Built in one pass over a snapshot's pulls and read-only afterwards.
+    It relies on the order ``validate`` enforces and ``restrict`` keeps:
+    pull numbers strictly increase, so ``numbers`` is sorted and a PR's
+    position in it ranks it among the repository's PRs.
+
+    ``authored[login]`` holds the positions of the login's decided PRs in
+    ascending order, and the merged count among the first k of them for
+    every k from 0 to their number. ``closed[login]`` holds the number of
+    decided PRs the login closed and how many of those were merged.
+    """
+
+    numbers: list[int]
+    authored: dict[str, tuple[list[int], list[int]]]
+    closed: dict[str, tuple[int, int]]
+
+    @classmethod
+    def of(cls, pulls: Iterable[PullRequest]) -> "PullHistory":
+        numbers: list[int] = []
+        authored: dict[str, tuple[list[int], list[int]]] = {}
+        closed: dict[str, tuple[int, int]] = {}
+        for position, pr in enumerate(pulls):
+            numbers.append(pr.number)
+            if pr.state == "open":
+                continue
+            merged = pr.state == "merged"
+            positions, merged_counts = authored.setdefault(pr.author, ([], [0]))
+            positions.append(position)
+            merged_counts.append(merged_counts[-1] + merged)
+            count, accepted = closed.get(pr.closer, (0, 0))
+            closed[pr.closer] = (count + 1, accepted + merged)
+        return cls(numbers, authored, closed)
+
+
+@dataclass(frozen=True)
 class RepoSnapshot:
     """Immutable capture of one repository's PR interaction data.
 
-    Safe to share across concurrent readers; nothing mutates it after load.
+    Safe to share across concurrent readers; nothing mutates it after load
+    but the memoised ``history``, which concurrent first readers may each
+    build, with equal results.
     """
 
     repo_owner: str
@@ -170,6 +210,11 @@ class RepoSnapshot:
     fetched_at: datetime
     pulls: tuple[PullRequest, ...]
     users: dict[str, UserProfile] = field(default_factory=dict)
+
+    @cached_property
+    def history(self) -> PullHistory:
+        """The PullHistory of ``pulls``, built on first use and kept."""
+        return PullHistory.of(self.pulls)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,9 @@ from .corpus import (
     ReviewRequest,
     UserProfile,
     _int_field,
+    _require_dict,
     _str_field,
+    _typename,
     classify_contribution,
     discussion,
     format_timestamp,
@@ -331,7 +333,7 @@ def reconstruct_review_requests(timeline_events: list) -> list[ReviewRequest]:
     for event in timeline_events:
         if not isinstance(event, dict) or event.get("event") != "review_requested":
             continue
-        login = _login(event.get("requested_reviewer"), None)
+        login = _login(event.get("requested_reviewer"), None, "timeline event")
         raw_time = event.get("created_at")
         if not login or not raw_time:
             continue
@@ -344,9 +346,22 @@ def reconstruct_review_requests(timeline_events: list) -> list[ReviewRequest]:
     ]
 
 
-def _login(account: Any, default: str | None) -> str | None:
+def _optional_str(data: Any, key: str, where: str) -> str | None:
+    """``data[key]`` when it is a string, None when it is null or absent.
+
+    Raises SnapshotParseError naming ``where`` and the field otherwise.
+    """
+    value = _require_dict(data, where).get(key)
+    if value is not None and not isinstance(value, str):
+        raise SnapshotParseError(f"{where}: field '{key}' must be a string, got {_typename(value)}")
+    return value
+
+
+def _login(account: Any, default: str | None, where: str) -> str | None:
     """The login of a GitHub account object, or ``default`` when it has none."""
-    return (account or {}).get("login") or default
+    if account is None:
+        return default
+    return _optional_str(account, "login", where) or default
 
 
 def _closer_from_timeline(timeline_events: list, merged: bool) -> str | None:
@@ -355,7 +370,7 @@ def _closer_from_timeline(timeline_events: list, merged: bool) -> str | None:
         if not isinstance(event, dict):
             continue
         kind = event.get("event")
-        actor = _login(event.get("actor"), _GHOST)
+        actor = _login(event.get("actor"), _GHOST, "timeline event")
         if kind == "merged" and merged:
             return actor
         if kind == "closed":
@@ -471,7 +486,7 @@ def _run_bounded(tasks: list, concurrency: int, consume: Callable[[Any], None]) 
 def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> PullRequest:
     number = item["number"]
     base = f"{API_ROOT}/repos/{owner}/{name}"
-    author = _login(item.get("user"), _GHOST)
+    author = _login(item.get("user"), _GHOST, f"PR {number} user")
     created_at = parse_timestamp(item["created_at"], f"PR {number} created_at")
     merged = item.get("merged_at") is not None
     if item.get("state") == "open":
@@ -496,10 +511,10 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
         reviews.append(
             Review(
                 id=_int_field(raw, "id", f"PR {number} review"),
-                author=_login(raw.get("user"), _GHOST),
+                author=_login(raw.get("user"), _GHOST, f"PR {number} review"),
                 submitted_at=parse_timestamp(raw["submitted_at"], f"PR {number} review"),
                 verdict=verdict,
-                body=raw.get("body") or "",
+                body=_optional_str(raw, "body", f"PR {number} review") or "",
             )
         )
     reviews.sort(key=lambda r: (r.submitted_at, r.id))
@@ -508,9 +523,9 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
         out = [
             Comment(
                 id=_int_field(raw, "id", f"PR {number} {what}"),
-                author=_login(raw.get("user"), _GHOST),
+                author=_login(raw.get("user"), _GHOST, f"PR {number} {what}"),
                 created_at=parse_timestamp(raw["created_at"], f"PR {number} {what}"),
-                body=raw.get("body") or "",
+                body=_optional_str(raw, "body", f"PR {number} {what}") or "",
             )
             for raw in raw_list
         ]
@@ -532,7 +547,7 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
         commits.append(
             CommitEvent(
                 sha=_str_field(raw, "sha", f"PR {number} commit"),
-                author=_login(raw.get("author"), author),
+                author=_login(raw.get("author"), author, f"PR {number} commit"),
                 committed_at=committed_at,
             )
         )
@@ -546,6 +561,8 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
         closer = _closer_from_timeline(timeline, merged) or _GHOST
 
     files = sorted(raw["filename"] for raw in files_raw)
+    label_where = f"PR {number} label"
+    labels_raw = [_require_dict(label, label_where) for label in item.get("labels") or []]
     return PullRequest(
         number=number,
         author=author,
@@ -553,7 +570,7 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
         created_at=created_at,
         closed_at=closed_at,
         closer=closer,
-        labels=frozenset(label["name"] for label in item.get("labels") or []),
+        labels=frozenset(_str_field(label, "name", label_where) for label in labels_raw),
         contribution_kind=classify_contribution(files),
         files=tuple(files),
         commits=tuple(commits),
@@ -578,7 +595,10 @@ def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> User
 
     try:
         orgs_raw = client.get_paginated(f"{API_ROOT}/users/{encoded}/orgs?per_page={_PAGE_SIZE}")
-        orgs = frozenset(org["login"] for org in orgs_raw if org.get("login"))
+        orgs = frozenset(
+            org_login for org in orgs_raw
+            if (org_login := _login(org, None, f"user '{login}' org"))
+        )
     except NotFoundError:
         orgs = frozenset()
 

@@ -11,6 +11,7 @@ counterparty counts by default; pass exclude_bots=False to keep them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
@@ -35,6 +36,7 @@ DEFAULT_COMPETENCE_WINDOW = 1000
 
 _BOT_SUFFIX = "[bot]"
 _POSSESSIVES = ("his", "her", "their")
+_NO_RECORD = ((), (0,))   # PullHistory.authored entry of a login with no decided PRs
 
 
 @dataclass(frozen=True)
@@ -240,11 +242,12 @@ def _track_record(
 
     A ``window`` limits them to the ``window`` most recent repo PRs below it.
     """
-    priors = [p for p in snapshot.pulls if p.number < before]
-    if window is not None:
-        priors = priors[-window:]
-    decided = [p for p in priors if p.author == login and p.state != "open"]
-    return len(decided), sum(1 for p in decided if p.state == "merged")
+    history = snapshot.history
+    end = bisect_left(history.numbers, before)
+    start = 0 if window is None else max(0, end - window)
+    positions, merged = history.authored.get(login, _NO_RECORD)
+    first, last = bisect_left(positions, start), bisect_left(positions, end)
+    return last - first, merged[last] - merged[first]
 
 
 def _has_write(profile) -> bool | None:
@@ -304,8 +307,9 @@ def personality_propensity(login: str, snapshot: RepoSnapshot) -> float | None:
     """Fraction of PRs this user closed that were accepted, or None.
 
     Uses the profile's closure_history when present; otherwise counts the
-    PRs in this snapshot closed by the user. Absent when they closed
-    nothing.
+    PRs in this snapshot closed by the user, whatever their number: a
+    PR's own outcome, and those of PRs closed after it, count towards the
+    propensity it is scored with. Absent when they closed nothing.
     """
     propensity, _ = _propensity_with_source(login, snapshot)
     return propensity
@@ -314,13 +318,10 @@ def personality_propensity(login: str, snapshot: RepoSnapshot) -> float | None:
 def _propensity_with_source(login: str, snapshot: RepoSnapshot) -> tuple[float | None, str]:
     profile = _profile(snapshot, login)
     if profile.closure_history is not None:
-        closed, accepted = profile.closure_history
-        return (accepted / closed if closed else None), "closure_history"
-    closed_prs = [p for p in snapshot.pulls if p.closer == login and p.state != "open"]
-    if not closed_prs:
-        return None, "snapshot"
-    accepted_count = sum(1 for p in closed_prs if p.state == "merged")
-    return accepted_count / len(closed_prs), "snapshot"
+        (closed, accepted), source = profile.closure_history, "closure_history"
+    else:
+        (closed, accepted), source = snapshot.history.closed.get(login, (0, 0)), "snapshot"
+    return (accepted / closed if closed else None), source
 
 
 def personality_score(pr: PullRequest, snapshot: RepoSnapshot) -> DimensionScore:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -94,6 +95,39 @@ def test_build_profile_every_dimension_maxed():
     assert profile.overall == pytest.approx(1.0)
     assert profile.coverage == 6
     assert profile.outcome == "accepted"
+
+
+class _CountingPulls(tuple):
+    """A pulls tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _pull_iterations(n: int) -> int:
+    """How often analyze_snapshot iterates the pulls of an n-PR snapshot."""
+    authors = ("ana", "ben", "cy")
+    users = [user(login) for login in authors] + [user("boss", permission="write")]
+    pulls = [
+        pull(k, authors[k % 3], state="merged" if k % 4 else "closed_unmerged",
+             created=iso(k), closed=iso(k + 1), closer="boss",
+             reviews=[review(10_000 + k, "boss", iso(k, hours=2), body="ok")],
+             issue_comments=[comment(k, "ben", iso(k, hours=1),
+                                     body="we already reviewed their work")])
+        for k in range(1, n + 1)
+    ]
+    snap = snapshot_from_dict(snapshot(pulls, users, fetched=iso(n + 2)))
+    counted = dataclasses.replace(snap, pulls=_CountingPulls(snap.pulls))
+    analyze_snapshot(counted, AnalysisConfig())
+    return counted.pulls.iterations
+
+
+def test_analysis_walks_the_pulls_a_fixed_number_of_times():
+    # a per-PR scan of the history would make the count grow with n
+    assert _pull_iterations(50) == _pull_iterations(400)
 
 
 def test_profiles_carry_unavailability_through(rich_snapshot):

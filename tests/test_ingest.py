@@ -6,8 +6,10 @@ import hashlib
 import json
 import logging
 import sys
+import tempfile
 import threading
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from prtrust import (
     SnapshotError,
     SnapshotParseError,
     fetch_snapshot,
+    load_snapshot,
     reconstruct_review_requests,
     save_snapshot,
 )
@@ -441,15 +444,31 @@ _ROUTE_PATHS = [
 ]
 
 
+def test_non_string_login_aborts_naming_the_field():
+    routes = demo_routes()
+    routes[LIST_CLOSED]["payload"][1]["user"] = {"login": 7}
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(), session=FakeSession(routes))
+    assert str(err.value) == (
+        "fetch aborted after 1 of 3 PRs: PR 2 user: field 'login' must be a string, got int"
+    )
+    assert isinstance(err.value.__cause__, SnapshotParseError)
+
+
 @given(st.sampled_from(_ROUTE_PATHS), st.sampled_from(MUTANTS))
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_single_field_mutation_raises_only_typed_errors(path, value):
     routes = demo_routes()
     replace_at(routes, path, value)
     try:
-        fetch_snapshot(_plan(), session=FakeSession(routes))
+        snap = fetch_snapshot(_plan(), session=FakeSession(routes))
     except (FetchError, SnapshotError):
-        pass
+        return
+    # what fetch returns, its own loader must accept
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "snapshot.json"
+        save_snapshot(snap, saved)
+        assert load_snapshot(saved) == snap
 
 
 def test_rate_limit_with_token_waits_until_reset():

@@ -333,6 +333,16 @@ def test_propensity_snapshot_fallback():
     assert personality_propensity("boss", snap) == pytest.approx(2 / 3)
 
 
+def test_snapshot_propensity_counts_the_scored_pr():
+    # not "historical": the closer's propensity includes this PR's own outcome
+    users = [user("dev"), user("boss", permission="admin")]
+    for state, expected in (("merged", 1.0), ("closed_unmerged", 0.0)):
+        snap = build([pull(1, "dev", state=state, closer="boss")], users)
+        score = personality_score(snap.pulls[0], snap)
+        assert score.evidence["propensity_sources"] == {"boss": "snapshot"}
+        assert score.score == expected
+
+
 def test_propensity_unknown_login():
     snap = build([], [])
     with pytest.raises(UnknownLoginError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import comment, commit, iso, pull, request, review, snapshot, user
 from prtrust import (
     AnalysisConfig,
@@ -12,11 +13,14 @@ from prtrust import (
     build_profile,
     classify_contribution,
     commitment_score,
+    competence_score,
     default_lexicon,
     institutional_score,
     personality_propensity,
+    personality_score,
     snapshot_from_dict,
     snapshot_to_dict,
+    transferred_detect,
 )
 
 LOGINS = ("ana", "ben", "cy", "di")
@@ -49,7 +53,7 @@ def snapshot_dicts(draw) -> dict:
             unknown=draw(st.booleans()),
         ))
 
-    numbers = sorted(draw(st.sets(st.integers(1, 60), max_size=5)))
+    numbers = sorted(draw(st.sets(st.integers(1, 60), max_size=8)))
     pulls = []
     for number in numbers:
         author = draw(st.sampled_from(logins))
@@ -60,7 +64,8 @@ def snapshot_dicts(draw) -> dict:
         issue_comments = []
         review_comments = []
         for idx, cid in enumerate(comment_ids):
-            body = draw(st.sampled_from(("looks fine", "please explain", "")))
+            body = draw(st.sampled_from(
+                ("looks fine", "please explain", "", "we already reviewed their work")))
             entry = comment(cid, draw(st.sampled_from(logins)),
                             iso(days=created_day, hours=draw(st.integers(0, 72))), body)
             (issue_comments if idx % 2 == 0 else review_comments).append(entry)
@@ -143,6 +148,35 @@ def test_scores_are_bounded_and_evidence_consistent(data):
             assert min(values) - 1e-12 <= profile.overall <= max(values) + 1e-12
         else:
             assert profile.overall is None
+
+
+def _close(value, expected) -> bool:
+    if value is None or expected is None:
+        return value is expected
+    return abs(value - expected) <= 1e-9
+
+
+@given(snapshot_dicts())
+@settings(max_examples=100, deadline=None)
+def test_history_lookups_match_the_oracle(data):
+    snap = snapshot_from_dict(data)
+    lexicon = default_lexicon()
+    for pr, raw in zip(snap.pulls, data["pulls"]):
+        for window in ({"window": 1}, {"window": 2}, {"window": 3}, {}):
+            got = competence_score(pr, snap, **window)
+            want = oracle.oracle_competence(raw, data, **window)
+            assert got.evidence["prior_pr_count"] == want["prior_pr_count"]
+            assert got.evidence["prior_accepted"] == want["prior_accepted"]
+            assert _close(got.evidence["prior_acceptance_rate"], want["prior_acceptance_rate"])
+            assert got.available == want["available"] and _close(got.score, want["score"])
+
+        got, want = personality_score(pr, snap), oracle.oracle_personality(raw, data)
+        assert _close(got.evidence["closer_propensity"], want["closer_propensity"])
+        assert got.available == want["available"] and _close(got.score, want["score"])
+
+        got, want = transferred_detect(pr, snap, lexicon), oracle.oracle_transferred(raw, data)
+        assert got.evidence["vouches"] == want["vouches"]
+        assert got.score == want["score"]
 
 
 # ---------------------------------------------------------------------------
