@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from prtrust import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
+from prtrust.corpus import parse_timestamp
 
 
 def test_empty_snapshot_loads(tmp_path):
@@ -263,3 +265,165 @@ def test_single_field_mutation_raises_only_snapshot_error(path, value):
         snapshot_from_dict(data)
     except SnapshotError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Event decode errors: the full message for every event list
+# ---------------------------------------------------------------------------
+
+def _set_event(key: str, value):
+    def mutate(d):
+        d["pulls"][0][key][0] = value
+    return mutate
+
+
+def _update_event(key: str, **fields):
+    return lambda d: d["pulls"][0][key][0].update(fields)
+
+
+def _drop_from_event(key: str, name: str):
+    return lambda d: d["pulls"][0][key][0].pop(name)
+
+
+def _rename_in_event(key: str, old: str, new: str):
+    """A missing and an unknown key at once: the unknown one is reported."""
+    def mutate(d):
+        event = d["pulls"][0][key][0]
+        event[new] = event.pop(old)
+    return mutate
+
+
+# (event list, mutation of its first event, the whole error message)
+_EVENT_ERRORS = [
+    ("commits", _set_event("commits", 7),
+     "PR 4.commits[0]: expected an object, got int"),
+    ("commits", _drop_from_event("commits", "author"),
+     "PR 4.commits[0]: missing field 'author'"),
+    ("commits", _update_event("commits", surprise=1),
+     "PR 4.commits[0]: unknown field 'surprise'"),
+    ("commits", _update_event("commits", sha=12),
+     "PR 4.commits[0]: field 'sha' must be a string, got int"),
+    ("commits", _update_event("commits", committed_at="yesterday"),
+     "PR 4.commits[0].committed_at: invalid timestamp 'yesterday'"),
+    ("commits", _update_event("commits", committed_at="2022-01-01T02:00:00"),
+     "PR 4.commits[0].committed_at: timestamp '2022-01-01T02:00:00' lacks a UTC offset"),
+    ("issue_comments", _set_event("issue_comments", "hello"),
+     "PR 4.issue_comments[0]: expected an object, got str"),
+    ("issue_comments", _drop_from_event("issue_comments", "body"),
+     "PR 4.issue_comments[0]: missing field 'body'"),
+    ("issue_comments", _update_event("issue_comments", surprise=1),
+     "PR 4.issue_comments[0]: unknown field 'surprise'"),
+    ("issue_comments", _update_event("issue_comments", id="41"),
+     "PR 4.issue_comments[0]: field 'id' must be an integer, got str"),
+    ("issue_comments", _update_event("issue_comments", created_at=7),
+     "PR 4.issue_comments[0].created_at: timestamp must be a string, got int"),
+    ("issue_comments", _update_event("issue_comments", created_at="2022-01-02"),
+     "PR 4.issue_comments[0].created_at: timestamp '2022-01-02' lacks a UTC offset"),
+    ("review_comments", _set_event("review_comments", None),
+     "PR 4.review_comments[0]: expected an object, got NoneType"),
+    ("review_comments", _drop_from_event("review_comments", "id"),
+     "PR 4.review_comments[0]: missing field 'id'"),
+    ("review_comments", _update_event("review_comments", aaa=None, zzz=None),
+     "PR 4.review_comments[0]: unknown field 'aaa'"),
+    ("review_comments", _update_event("review_comments", body=None),
+     "PR 4.review_comments[0]: field 'body' must be a string, got NoneType"),
+    ("review_comments", _update_event("review_comments", created_at="2022-13-01T00:00:00Z"),
+     "PR 4.review_comments[0].created_at: invalid timestamp '2022-13-01T00:00:00Z'"),
+    ("review_comments", _update_event("review_comments", created_at="2022-01-02T01:00:00.5"),
+     "PR 4.review_comments[0].created_at: timestamp '2022-01-02T01:00:00.5' lacks a UTC offset"),
+    ("reviews", _set_event("reviews", []),
+     "PR 4.reviews[0]: expected an object, got list"),
+    ("reviews", _drop_from_event("reviews", "verdict"),
+     "PR 4.reviews[0]: missing field 'verdict'"),
+    ("reviews", _update_event("reviews", surprise=1),
+     "PR 4.reviews[0]: unknown field 'surprise'"),
+    ("reviews", _update_event("reviews", id=True),
+     "PR 4.reviews[0]: field 'id' must be an integer, got bool"),
+    ("reviews", _update_event("reviews", body=["ok"]),
+     "PR 4.reviews[0]: field 'body' must be a string, got list"),
+    ("reviews", _update_event("reviews", submitted_at=""),
+     "PR 4.reviews[0].submitted_at: invalid timestamp ''"),
+    ("reviews", _update_event("reviews", submitted_at="2022-01-02T02:00:00"),
+     "PR 4.reviews[0].submitted_at: timestamp '2022-01-02T02:00:00' lacks a UTC offset"),
+    ("review_requests", _set_event("review_requests", 1.5),
+     "PR 4.review_requests[0]: expected an object, got float"),
+    ("review_requests", _drop_from_event("review_requests", "requested_at"),
+     "PR 4.review_requests[0]: missing field 'requested_at'"),
+    ("review_requests", _rename_in_event("review_requests", "requestee", "surprise"),
+     "PR 4.review_requests[0]: unknown field 'surprise'"),
+    ("review_requests", _update_event("review_requests", requestee=7),
+     "PR 4.review_requests[0]: field 'requestee' must be a string, got int"),
+    ("review_requests", _update_event("review_requests", requested_at="soon"),
+     "PR 4.review_requests[0].requested_at: invalid timestamp 'soon'"),
+    ("review_requests", _update_event("review_requests", requested_at="2022-01-01T01:00:00"),
+     "PR 4.review_requests[0].requested_at: timestamp '2022-01-01T01:00:00' lacks a UTC offset"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [pytest.param(mutate, message, id=f"{key}-{i}") for i, (key, mutate, message) in enumerate(_EVENT_ERRORS)],
+)
+def test_event_decode_errors_carry_the_full_message(mutate, message):
+    data = _base()
+    mutate(data)
+    with pytest.raises(SnapshotParseError) as err:
+        snapshot_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_second_event_is_located_by_its_index():
+    data = _base()
+    data["pulls"][0]["issue_comments"].append(comment(44, "boss", "2022-01-02T00:00:00+01:00"))
+    data["pulls"][0]["issue_comments"].append(comment(45, "boss", "2022-01-02T00:00:00"))
+    with pytest.raises(SnapshotParseError) as err:
+        snapshot_from_dict(data)
+    assert str(err.value) == (
+        "PR 4.issue_comments[2].created_at: timestamp '2022-01-02T00:00:00' lacks a UTC offset"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Timestamps
+# ---------------------------------------------------------------------------
+
+def _reference_parse_timestamp(value, where):
+    """The general-path parser: any offset, truncated to whole seconds."""
+    if not isinstance(value, str):
+        raise SnapshotParseError(f"{where}: timestamp must be a string, got {type(value).__name__}")
+    raw = value.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    try:
+        parsed = datetime.fromisoformat(raw)
+    except ValueError as exc:
+        raise SnapshotParseError(f"{where}: invalid timestamp {value!r}") from exc
+    if parsed.tzinfo is None:
+        raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
+    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+
+
+def _outcome(parse, value):
+    try:
+        parsed = parse(value, "t")
+    except Exception as exc:  # the exact exception is part of the contract
+        return type(exc), str(exc)
+    return parsed.isoformat(), parsed.utcoffset(), parsed.tzinfo
+
+
+@st.composite
+def timestamp_texts(draw) -> str:
+    moment = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
+    text = moment.isoformat(timespec="seconds")
+    if draw(st.booleans()):
+        text += "." + draw(st.sampled_from(("5", "25", "000", "123456", "999999")))
+    text += draw(st.sampled_from(("Z", "z", "+00:00", "-00:00", "+01:00", "-08:00", "+05:30", "")))
+    space = st.sampled_from(("", " ", "\t", "\n "))
+    return draw(space) + text + draw(space)
+
+
+@given(st.one_of(timestamp_texts(), st.text(max_size=30), st.integers(), st.none()))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_parse_timestamp_matches_the_general_path(value):
+    assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
+
