@@ -23,6 +23,7 @@ from .metrics import (
     commitment_score,
     competence_score,
     institutional_score,
+    left_sum,
     personality_score,
     transferred_detect,
 )
@@ -81,8 +82,7 @@ def combine_scores(
     available = [(weights[d], scores[d].score) for d in DIMENSIONS if scores[d].available]
     if not available:
         return None
-    total = sum(w for w, _ in available)
-    return sum(w * s for w, s in available) / total
+    return left_sum(w * s for w, s in available) / left_sum(w for w, _ in available)
 
 
 def analyze_snapshot(

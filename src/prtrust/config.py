@@ -115,7 +115,7 @@ def load_config(path: str | Path) -> AnalysisConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     config = AnalysisConfig()

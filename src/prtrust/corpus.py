@@ -19,6 +19,7 @@ event ordering ties are broken by event id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -26,6 +27,8 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import SnapshotParseError, SnapshotValidationError
+
+_encode_str = json.encoder.encode_basestring  # the C encoder, as ensure_ascii=False uses
 
 PR_STATES = ("merged", "closed_unmerged", "open")
 CONTRIBUTION_KINDS = ("code", "documentation", "mixed")
@@ -58,14 +61,16 @@ def parse_timestamp(value: Any, where: str) -> datetime:
         parsed = datetime.fromisoformat(raw)
     except ValueError as exc:
         raise SnapshotParseError(f"{where}: invalid timestamp {value!r}") from exc
+    if parsed.tzinfo is timezone.utc and not parsed.microsecond:
+        return parsed  # already canonical: "+00:00" and "Z" parse to the utc singleton
     if parsed.tzinfo is None:
         raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
     return parsed.astimezone(timezone.utc).replace(microsecond=0)
 
 
 def format_timestamp(value: datetime) -> str:
-    """Render an aware datetime as "YYYY-MM-DDTHH:MM:SSZ"."""
-    return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Render an aware datetime as "YYYY-MM-DDTHH:MM:SSZ" (four-digit year)."""
+    return value.astimezone(timezone.utc).isoformat()[:19] + "Z"
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +343,18 @@ def _time_field(data: dict, key: str, where: str) -> datetime:
     return parse_timestamp(_take(data, key, where), f"{where}.{key}")
 
 
-# How a field is read from JSON and written back, by annotation (None: as is).
-_FIELD_CODECS = {
-    "int": (_int_field, None),
-    "str": (_str_field, None),
-    "datetime": (_time_field, format_timestamp),
-}
+# Per field annotation: the checked reader and the JSON type of a well-formed value.
+_FIELD_KINDS = {"int": (_int_field, int), "str": (_str_field, str), "datetime": (_time_field, str)}
 
 # Each event's JSON keys, in the order they are encoded and checked, are its
-# dataclass fields: name -> (read, write).
+# dataclass fields. Per class: key -> checked reader, the JSON types of a
+# well-formed event's values, and the positions of its timestamps.
 _EVENT_FIELDS = {
-    cls: {f.name: _FIELD_CODECS[f.type] for f in fields(cls)}
+    cls: (
+        {f.name: _FIELD_KINDS[f.type][0] for f in fields(cls)},
+        [_FIELD_KINDS[f.type][1] for f in fields(cls)],
+        tuple(i for i, f in enumerate(fields(cls)) if f.type == "datetime"),
+    )
     for cls in (Comment, Review, ReviewRequest, CommitEvent)
 }
 _PR_KEYS = frozenset(f.name for f in fields(PullRequest))
@@ -363,14 +369,34 @@ _EVENT_LISTS = (
 )
 
 
+def _read_event(raw: Any, cls: type) -> Any:
+    """The event a well-formed ``raw`` describes, or None to take the checked path."""
+    readers, types, times = _EVENT_FIELDS[cls]
+    if type(raw) is not dict or raw.keys() != readers.keys():
+        return None
+    values = list(map(raw.__getitem__, readers))
+    if list(map(type, values)) != types:
+        return None
+    try:
+        for i in times:
+            values[i] = parse_timestamp(values[i], "")
+    except SnapshotParseError:
+        return None
+    return cls(*values)
+
+
 def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
-    spec = _EVENT_FIELDS[cls]
+    readers = _EVENT_FIELDS[cls][0]
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
-        at = f"{where}.{key}[{i}]"
-        raw = _require_dict(raw, at)
-        _check_keys(raw, spec.keys(), at)
-        events.append(cls(*[read(raw, name, at) for name, (read, _) in spec.items()]))
+        event = _read_event(raw, cls)
+        if event is None:
+            # Something is wrong with it: the checked readers locate and name it.
+            at = f"{where}.{key}[{i}]"
+            raw = _require_dict(raw, at)
+            _check_keys(raw, readers.keys(), at)
+            event = cls(*[read(raw, name, at) for name, read in readers.items()])
+        events.append(event)
     return tuple(events)
 
 
@@ -411,9 +437,7 @@ def _decode_pull(data: Any, index: int) -> PullRequest:
     number = _int_field(data, "number", where)
     where = f"PR {number}"
 
-    closed_at = None
-    if data.get("closed_at") is not None:
-        closed_at = parse_timestamp(data["closed_at"], f"{where}.closed_at")
+    closed_at = None if data.get("closed_at") is None else _time_field(data, "closed_at", where)
     closer = data.get("closer")
     if closer is not None and not isinstance(closer, str):
         raise SnapshotParseError(f"{where}: field 'closer' must be a string or absent")
@@ -473,16 +497,19 @@ def load_snapshot(path: str | Path) -> RepoSnapshot:
     SnapshotValidationError when a domain invariant is violated; the
     message locates the offending PR number or login.
     """
-    path = Path(path)
+    return snapshot_from_dict(read_json(Path(path), "snapshot"))
+
+
+def read_json(path: Path, what: str) -> Any:
+    """Parse a UTF-8 JSON file; any way it cannot be read is a SnapshotParseError naming it."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SnapshotParseError(f"cannot read snapshot file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SnapshotParseError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SnapshotParseError(f"{path}: not valid JSON: {exc}") from exc
-    return snapshot_from_dict(data)
+    except RecursionError as exc:
+        raise SnapshotParseError(f"{path}: JSON nested too deeply to read") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +676,11 @@ def _encode_pull(pr: PullRequest) -> dict:
 
 
 def _encode_event(event: Any) -> dict:
-    out = {}
-    for name, (_, write) in _EVENT_FIELDS[type(event)].items():
-        value = getattr(event, name)
-        out[name] = write(value) if write else value
-    return out
+    readers, _, times = _EVENT_FIELDS[type(event)]
+    values = list(map(event.__getattribute__, readers))
+    for i in times:
+        values[i] = format_timestamp(values[i])
+    return dict(zip(readers, values))
 
 
 def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
@@ -669,7 +696,31 @@ def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
     }
 
 
+def indented_json(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` for str keys, faster: the C
+    encoder cannot indent, so that call runs in pure Python; this walk encodes strings
+    in C. ``newline`` carries the indentation of the level being written."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(key) + ": " + indented_json(item, inner) for key, item in value.items()]
+        ) + newline + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + inner + ("," + inner).join(
+            [indented_json(item, inner) for item in value]
+        ) + newline + "]"
+    return json.dumps(value)  # empty containers, NaN and infinities, or json's own TypeError
+
+
 def save_snapshot(snapshot: RepoSnapshot, path: str | Path) -> None:
     """Write a snapshot file; the output reloads to a structurally equal value."""
-    text = json.dumps(snapshot_to_dict(snapshot), indent=2, ensure_ascii=False) + "\n"
+    text = indented_json(snapshot_to_dict(snapshot)) + "\n"
     Path(path).write_text(text, encoding="utf-8", newline="\n")

@@ -141,7 +141,7 @@ class GitHubClient:
             return None
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             return None
         if not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS):
             return None

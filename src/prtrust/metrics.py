@@ -15,7 +15,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
+from functools import reduce
 from math import inf, log10
+from operator import add
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -51,6 +53,12 @@ class DimensionScore:
     available: bool
     score: float | None
     evidence: dict[str, Any]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right addition: from Python 3.12 ``sum`` compensates float
+    rounding, which would move the last digits of reported scores."""
+    return reduce(add, values, 0)
 
 
 def _ignored(login: str, exclude_bots: bool) -> bool:
@@ -181,8 +189,7 @@ def commitment_score(pr: PullRequest) -> DimensionScore:
         weighted.append((0.7, len(responded) / len(requested_at)))
     if change_requests:
         weighted.append((0.3, 1.0 if author_addressed else 0.0))
-    total = sum(w for w, _ in weighted)
-    score = sum(w * v for w, v in weighted) / total
+    score = left_sum(w * v for w, v in weighted) / left_sum(w for w, _ in weighted)
     return DimensionScore("commitment", True, score, evidence)
 
 
@@ -220,7 +227,7 @@ def competence_score(
 
     components = [c for c in (c_hist, c_follow, c_perm) if c is not None]
     available = bool(components)
-    score = sum(components) / len(components) if available else None
+    score = left_sum(components) / len(components) if available else None
     return DimensionScore(
         dimension="competence",
         available=available,
@@ -400,7 +407,7 @@ class VouchLexicon:
     def from_file(cls, path: str | Path) -> "VouchLexicon":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read lexicon file {path}: {exc}") from exc
         return cls.from_lines(text.splitlines())
 

@@ -7,7 +7,6 @@ LF newlines; emission is deterministic (same bundle, identical bytes).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
@@ -16,9 +15,9 @@ from typing import Any
 
 from . import __version__
 from .aggregate import RepoSummary, StratumSummary, TrustProfile
-from .corpus import RepoSnapshot, format_timestamp, parse_timestamp
+from .corpus import RepoSnapshot, format_timestamp, indented_json, parse_timestamp, read_json
 from .errors import SnapshotParseError
-from .metrics import DIMENSIONS, DimensionScore
+from .metrics import DIMENSIONS, DimensionScore, left_sum
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -158,14 +157,7 @@ def bundle_from_dict(data: dict) -> ReportBundle:
 
 
 def load_bundle(path: str | Path) -> ReportBundle:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SnapshotParseError(f"cannot read report file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SnapshotParseError(f"{path}: not valid JSON: {exc}") from exc
-    return bundle_from_dict(data)
+    return bundle_from_dict(read_json(Path(path), "report"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +192,7 @@ def markdown_summary(bundle: ReportBundle) -> str:
         total_n = sum(n for n, _ in parts)
         if total_n == 0:
             return None
-        return sum(n * m for n, m in parts) / total_n
+        return left_sum(n * m for n, m in parts) / total_n
 
     lines = [
         f"# Trust summary: {bundle.repo_owner}/{bundle.repo_name}",
@@ -223,7 +215,7 @@ def markdown_summary(bundle: ReportBundle) -> str:
 
 
 def json_text(bundle: ReportBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), indent=2, ensure_ascii=False) + "\n"
+    return indented_json(bundle_to_dict(bundle)) + "\n"
 
 
 def emit(bundle: ReportBundle, format: str, path: str | Path) -> None:

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import rich_snapshot_dict
 from prtrust import RateLimitError, load_snapshot
 from prtrust.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -153,3 +159,42 @@ def test_analyze_empty_snapshot_exits_1_with_a_clear_message(tmp_path, capsys):
     assert code == 1
     assert "holds no pull requests" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+_NOT_UTF8 = b'{"repo": "\xff\xfe"}'
+_TOO_DEEP = b"[" * 200000
+
+
+def _cli(tmp_path, *args):
+    """Run prtrust in its own interpreter, so an escaping error would print a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
+    return subprocess.run([sys.executable, "-m", "prtrust.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("command", ["analyze", "sample", "summary"])
+def test_unreadable_input_exits_1_naming_the_file(command, content, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    extra = {"analyze": ["--out", "r.json", "--format", "json"], "sample": ["--out", "s.json"],
+             "summary": []}[command]
+    result = _cli(tmp_path, command, "--in", str(bad), *extra)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+
+
+@pytest.mark.parametrize("name", ["config", "lexicon"])
+def test_non_utf8_config_or_lexicon_exits_1_naming_the_file(name, snapshot_file, tmp_path):
+    bad = tmp_path / f"{name}.bad"
+    bad.write_bytes(b"f_cap = 2\n\xff\n")
+    config = bad
+    if name == "lexicon":
+        config = tmp_path / "analysis.conf"
+        config.write_text(f"lexicon_path = {bad}\n", encoding="utf-8")
+    result = _cli(tmp_path, "analyze", "--in", str(snapshot_file), "--config", str(config),
+                  "--out", "r.json", "--format", "json")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"cannot read {name} file {bad}" in result.stderr

@@ -37,7 +37,7 @@ from prtrust import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
-from prtrust.corpus import parse_timestamp
+from prtrust.corpus import indented_json, parse_timestamp
 
 
 def test_empty_snapshot_loads(tmp_path):
@@ -427,3 +427,53 @@ def timestamp_texts(draw) -> str:
 def test_parse_timestamp_matches_the_general_path(value):
     assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
 
+
+
+@pytest.mark.parametrize("year", [1, 999])
+def test_early_years_round_trip(year, tmp_path):
+    data = _base()
+    data["repo"]["fetched_at"] = f"{year:04d}-06-01T00:00:00Z"
+    for pr in data["pulls"]:
+        pr["created_at"] = f"{year:04d}-03-04T05:06:07Z"
+        pr["closed_at"] = f"{year:04d}-03-05T05:06:07Z"
+        for key in ("issue_comments", "review_comments", "reviews", "review_requests", "commits"):
+            for event in pr[key]:
+                for name in ("created_at", "submitted_at", "requested_at", "committed_at"):
+                    if name in event:
+                        event[name] = f"{year:04d}-03-04T06:00:00Z"
+    snap = snapshot_from_dict(data)
+    path = tmp_path / "early.json"
+    save_snapshot(snap, path)
+    assert f'"fetched_at": "{year:04d}-06-01T00:00:00Z"' in path.read_text(encoding="utf-8")
+    assert load_snapshot(path) == snap
+
+
+# ---------------------------------------------------------------------------
+# The indent-2 writer
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    st.floats(), _TEXT, st.sampled_from(("\x00\x1f\x7f", "é✓ 漢字 😀", '"\\/\n\t')),
+)
+_JSON_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_indented_json_matches_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_indented_json_writes_the_rich_fixture_like_json_dumps(rich_dict):
+    encoded = snapshot_to_dict(snapshot_from_dict(rich_dict))
+    assert indented_json(encoded) == json.dumps(encoded, indent=2, ensure_ascii=False)

@@ -375,7 +375,16 @@ def _unparsable_time(path):
     path.write_text(json.dumps(envelope), encoding="utf-8")
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout, _unparsable_time])
+def _too_deep(path):
+    path.write_bytes(b"[" * 200000)
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"url": "\xff"}')
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout, _unparsable_time,
+                                     _too_deep, _not_utf8])
 def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
     cache = tmp_path / "cache"
     cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
