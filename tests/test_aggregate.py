@@ -22,6 +22,7 @@ from prtrust import (
     stratified_sample,
     summarize,
 )
+from prtrust.metrics import left_sum
 
 UNIFORM = {d: 1 / 6 for d in
            ("action", "commitment", "competence", "institutional", "personality", "transferred")}
@@ -55,6 +56,15 @@ def test_combine_mixed_availability_matches_hand_sum():
     expected = sum(values.values()) / 6.0
     assert combine_scores(scores, UNIFORM) == pytest.approx(expected, abs=1e-12)
     assert combine_scores(scores, UNIFORM) == pytest.approx(0.6157407407407407, abs=1e-9)
+
+
+def test_combine_adds_left_to_right_on_every_python():
+    """Python 3.12's sum() compensates rounding (six weights of 1/6 sum to 1.0,
+    not 0.9999999999999999), which would move the last digit of this score."""
+    values = (1.0, 0.25, 4.0 / 9.0, 1.0, 1.0, 0.0)
+    scores = {d: _score(d, v) for d, v in zip(UNIFORM, values)}
+    assert combine_scores(scores, UNIFORM) == 0.6157407407407408
+    assert left_sum([0.1] * 10) == 0.9999999999999999
 
 
 def test_combine_none_available():

@@ -472,8 +472,3 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_indented_json_matches_json_dumps(value):
     assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
-
-
-def test_indented_json_writes_the_rich_fixture_like_json_dumps(rich_dict):
-    encoded = snapshot_to_dict(snapshot_from_dict(rich_dict))
-    assert indented_json(encoded) == json.dumps(encoded, indent=2, ensure_ascii=False)
