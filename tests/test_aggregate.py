@@ -206,6 +206,26 @@ def test_sample_seeds_differ():
     assert len(samples) >= 2
 
 
+# The exact draws on the rich fixture (15 accepted, 7 rejected, 3 open). The
+# rejected picks depend on the generator state the accepted shuffle leaves.
+_PINNED_SAMPLES = {
+    (8, 0.75, 0): [2, 4, 10, 12, 17, 19, 20, 21],
+    (8, 0.75, 1): [1, 6, 10, 11, 15, 19, 23, 25],
+    (8, 0.75, 7): [5, 7, 9, 13, 18, 20, 22, 25],
+    (8, 0.75, 2023): [1, 4, 5, 7, 9, 14, 15, 22],
+    (9, 0.5, 0): [2, 3, 10, 12, 17, 18, 19, 20, 21],
+    (9, 0.5, 1): [1, 6, 9, 11, 15, 19, 21, 23, 25],
+    (9, 0.5, 7): [5, 6, 9, 13, 15, 18, 20, 22, 25],
+    (9, 0.5, 2023): [4, 5, 7, 9, 12, 14, 15, 21, 22],
+}
+
+
+@pytest.mark.parametrize("n,ratio,seed", list(_PINNED_SAMPLES))
+def test_sample_draws_are_pinned(n, ratio, seed, rich_snapshot):
+    plan = SamplePlan(per_repo_n=n, accept_ratio=ratio, seed=seed)
+    assert stratified_sample(rich_snapshot, plan) == _PINNED_SAMPLES[n, ratio, seed]
+
+
 def test_sample_never_picks_open_prs():
     data = sampling_dict(accepted=6, rejected=4)
     data["pulls"].append(pull(99, "dev", state="open"))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import comment, commit, iso, pull, request, review, snapshot, user
 from prtrust import (
     ConfigError,
@@ -493,3 +496,65 @@ def test_default_lexicon_patterns():
         "works with me",
         "on my team",
     )
+
+
+# ---------------------------------------------------------------------------
+# lexicon matching against the oracle
+# ---------------------------------------------------------------------------
+
+# A prefix of another pattern, shared heads, a leading and a trailing
+# wildcard, and patterns whose lower-casing is not one character per
+# character ("İ" lowers to two) or depends on context (a final "Σ" lowers to "ς").
+_PATTERN_POOL = (
+    "i can vouch",
+    "i can vouch for",
+    "vouch* for",
+    "vouch*",
+    "*for them",
+    "recommend* this",
+    "recommend* their work",
+    "ΑΣ",
+    "İ can",
+    "a\x00b",
+)
+_TEXT_PIECES = ("i", "can", "vouch", "for", "them", "recommend", "this", "their", "work",
+                "İ", "Σ", "ς", "σ", "Α", "\x00", "a", "b", "*")
+_CASINGS = (str, str.lower, str.upper, str.title)
+
+
+@st.composite
+def _cased(draw, pieces) -> str:
+    return draw(st.sampled_from(_CASINGS))(draw(pieces))
+
+
+@st.composite
+def _lexicons(draw) -> VouchLexicon:
+    patterns = draw(st.lists(_cased(st.sampled_from(_PATTERN_POOL)),
+                             min_size=1, max_size=5, unique=True))
+    return VouchLexicon(tuple(patterns))
+
+
+@st.composite
+def _vouch_texts(draw) -> str:
+    pieces = draw(st.lists(
+        _cased(st.one_of(st.sampled_from(_PATTERN_POOL), st.sampled_from(_TEXT_PIECES),
+                         st.text(max_size=4))),
+        max_size=8,
+    ))
+    return draw(st.sampled_from((" ", "", "\x00", "\n"))).join(pieces)
+
+
+def _oracle_find(patterns, text):
+    """The first pattern, in lexicon order, that the oracle's regex matches."""
+    for pattern in patterns:
+        span = oracle.match_span(pattern, text)
+        if span is not None:
+            return pattern, span[0], span[1]
+    return None
+
+
+@given(_lexicons(), st.lists(_vouch_texts(), max_size=6))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lexicon_find_is_the_first_oracle_match(lexicon, texts):
+    for text in texts:
+        assert lexicon.find(text) == _oracle_find(lexicon.patterns, text)

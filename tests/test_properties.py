@@ -9,6 +9,7 @@ import oracle
 from conftest import comment, commit, iso, pull, request, review, snapshot, user
 from prtrust import (
     AnalysisConfig,
+    VouchLexicon,
     action_score,
     build_profile,
     classify_contribution,
@@ -27,6 +28,10 @@ LOGINS = ("ana", "ben", "cy", "di")
 ORGS = ("orga", "orgb")
 PATH_PARTS = ("src", "docs", "lib", "doc")
 PATH_NAMES = ("main.c", "readme.md", "guide.rst", "notes.txt", "mod.rs", "intro.adoc")
+# Patterns for the generated bodies: wildcards, shared heads, a pattern that
+# is a prefix of another, and a head that occurs without its tail.
+CUSTOM_PATTERNS = ("reviewed* work", "we already reviewed", "we already", "needs*",
+                   "please* this", "looks*")
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +179,12 @@ def test_history_lookups_match_the_oracle(data):
         assert _close(got.evidence["closer_propensity"], want["closer_propensity"])
         assert got.available == want["available"] and _close(got.score, want["score"])
 
-        got, want = transferred_detect(pr, snap, lexicon), oracle.oracle_transferred(raw, data)
-        assert got.evidence["vouches"] == want["vouches"]
-        assert got.score == want["score"]
+        for patterns in (None, CUSTOM_PATTERNS):
+            used = lexicon if patterns is None else VouchLexicon(patterns)
+            got = transferred_detect(pr, snap, used)
+            want = oracle.oracle_transferred(raw, data, patterns=patterns)
+            assert got.evidence["vouches"] == want["vouches"]
+            assert got.score == want["score"]
 
 
 # ---------------------------------------------------------------------------
