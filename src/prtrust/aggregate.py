@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .config import AnalysisConfig
 from .corpus import PullRequest, RepoSnapshot, outcome
@@ -139,11 +139,11 @@ def stratified_sample(snapshot: RepoSnapshot, plan: SamplePlan) -> list[int]:
 
     Open PRs are never sampled. The draw is deterministic: a single
     Mersenne Twister generator (random.Random seeded with plan.seed)
-    drives a Fisher-Yates shuffle of each stratum, accepted first, each
-    stratum pre-sorted ascending by number; the first accepted_count and
-    rejected_count elements are taken and the union is returned sorted.
-    randbelow uses unbiased rejection sampling on getrandbits, so the
-    sequence is identical across platforms.
+    drives a Fisher-Yates shuffle (Random.shuffle) of each stratum,
+    accepted first, each stratum pre-sorted ascending by number; the first
+    accepted_count and rejected_count elements are taken and the union is
+    returned sorted. The shuffle draws its indices by unbiased rejection
+    sampling on getrandbits, so the sequence is identical across platforms.
     """
     accepted = [pr.number for pr in snapshot.pulls if outcome(pr) == "accepted"]
     rejected = [pr.number for pr in snapshot.pulls if outcome(pr) == "rejected"]
@@ -154,25 +154,9 @@ def stratified_sample(snapshot: RepoSnapshot, plan: SamplePlan) -> list[int]:
         raise InsufficientStratumError("rejected", plan.rejected_count, len(rejected))
 
     rng = random.Random(plan.seed)
-    picked = _shuffled(accepted, rng)[: plan.accepted_count]
-    picked += _shuffled(rejected, rng)[: plan.rejected_count]
-    return sorted(picked)
-
-
-def _shuffled(items: Sequence[int], rng: random.Random) -> list[int]:
-    out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = _randbelow(rng, i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
-
-
-def _randbelow(rng: random.Random, n: int) -> int:
-    bits = n.bit_length()
-    value = rng.getrandbits(bits)
-    while value >= n:
-        value = rng.getrandbits(bits)
-    return value
+    rng.shuffle(accepted)
+    rng.shuffle(rejected)
+    return sorted(accepted[: plan.accepted_count] + rejected[: plan.rejected_count])
 
 
 # ---------------------------------------------------------------------------

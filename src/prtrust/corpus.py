@@ -49,8 +49,9 @@ DOC_SEGMENTS = ("docs", "doc")
 def parse_timestamp(value: Any, where: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime (second precision).
 
-    Accepts a trailing "Z" or an explicit offset; naive timestamps are
-    rejected. Sub-second precision is truncated.
+    Accepts a trailing "Z" or an explicit offset; naive timestamps, and
+    those whose UTC instant falls outside years 1-9999, are rejected.
+    Sub-second precision is truncated.
     """
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
@@ -65,7 +66,10 @@ def parse_timestamp(value: Any, where: str) -> datetime:
         return parsed  # already canonical: "+00:00" and "Z" parse to the utc singleton
     if parsed.tzinfo is None:
         raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError as exc:
+        raise SnapshotParseError(f"{where}: timestamp {value!r} is out of range") from exc
 
 
 def format_timestamp(value: datetime) -> str:

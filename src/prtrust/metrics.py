@@ -11,15 +11,16 @@ counterparty counts by default; pass exclude_bots=False to keep them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
 from importlib import resources
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import accumulate
 from math import inf, log10
 from operator import add
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .corpus import PullRequest, RepoSnapshot, Review, discussion
 from .errors import ConfigError, UnknownLoginError
@@ -411,17 +412,45 @@ class VouchLexicon:
             raise ConfigError(f"cannot read lexicon file {path}: {exc}") from exc
         return cls.from_lines(text.splitlines())
 
+    @cached_property
+    def _lowered(self) -> tuple[str, ...]:
+        return tuple(pattern.lower() for pattern in self.patterns)
+
     def find(self, text: str) -> tuple[str, int, int] | None:
         """Return (pattern, start, end) for the first matching pattern.
 
         Offsets index the lower-cased text; patterns are tried in order.
         """
         lowered = text.lower()
-        for pattern in self.patterns:
-            span = _match_pattern(pattern.lower(), lowered)
+        for pattern, lowered_pattern in zip(self.patterns, self._lowered):
+            span = _match_pattern(lowered_pattern, lowered)
             if span is not None:
                 return pattern, span[0], span[1]
         return None
+
+    def find_each(self, texts: Sequence[str]) -> list[tuple[str, int, int] | None]:
+        """``[self.find(text) for text in texts]``, with one scan per pattern head.
+
+        A text cannot match unless it holds the head (the part before any
+        ``*``) of some pattern, so each distinct head is searched once in
+        the lowered texts joined by NUL, and only the texts it occurs in go
+        through ``find``. An occurrence that runs across a separator only
+        adds a candidate. An empty head makes every text a candidate.
+        """
+        heads = {pattern.partition("*")[0] for pattern in self._lowered}
+        if "" in heads:
+            return [self.find(text) for text in texts]
+        lowered = [text.lower() for text in texts]  # per text: case mapping depends on context
+        starts = list(accumulate((len(text) + 1 for text in lowered), initial=0))
+        joined = "\0".join(lowered)
+        candidates = set()
+        for head in heads:
+            at = joined.find(head)
+            while at >= 0:
+                index = bisect_right(starts, at) - 1
+                candidates.add(index)
+                at = joined.find(head, starts[index + 1])
+        return [self.find(text) if i in candidates else None for i, text in enumerate(texts)]
 
 
 def _match_pattern(pattern: str, text: str) -> tuple[int, int] | None:
@@ -463,11 +492,9 @@ def transferred_detect(
     evidence is flagged low-confidence: this is a phrase heuristic, not
     language understanding.
     """
+    events = [e for e in discussion(pr) if e.author != pr.author and e.body]
     vouches: list[dict[str, Any]] = []
-    for event in discussion(pr):
-        if event.author == pr.author or not event.body:
-            continue
-        hit = lexicon.find(event.body)
+    for event, hit in zip(events, lexicon.find_each([e.body for e in events])):
         if hit is None:
             continue
         pattern, start, end = hit

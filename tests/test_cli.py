@@ -185,6 +185,19 @@ def test_unreadable_input_exits_1_naming_the_file(command, content, tmp_path):
     assert str(bad) in result.stderr
 
 
+@pytest.mark.parametrize("fetched_at", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
+def test_out_of_range_timestamp_exits_1_naming_it(fetched_at, tmp_path):
+    data = rich_snapshot_dict()
+    data["repo"]["fetched_at"] = fetched_at
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    result = _cli(tmp_path, "analyze", "--in", str(bad), "--out", "r.json", "--format", "json")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert f"repo.fetched_at: timestamp '{fetched_at}' is out of range" in result.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("name", ["config", "lexicon"])
 def test_non_utf8_config_or_lexicon_exits_1_naming_the_file(name, snapshot_file, tmp_path):
     bad = tmp_path / f"{name}.bad"

@@ -209,6 +209,10 @@ def negative_snapshot_dicts() -> list[tuple[str, dict, str]]:
             lambda d: d["pulls"][0].update(created_at="yesterday"))
     variant("naive-timestamp", "offset",
             lambda d: d["pulls"][0].update(created_at="2022-01-01T00:00:00"))
+    variant("timestamp-after-year-9999-in-utc", "out of range",
+            lambda d: d["pulls"][0].update(created_at="9999-12-31T23:59:59-01:00"))
+    variant("timestamp-before-year-1-in-utc", "out of range",
+            lambda d: d["pulls"][0].update(created_at="0001-01-01T00:00:00+01:00"))
     variant("missing-field", "missing field",
             lambda d: d["pulls"][0].pop("author"))
     variant("unknown-field", "unknown field",
@@ -357,6 +361,10 @@ _EVENT_ERRORS = [
      "PR 4.review_requests[0].requested_at: invalid timestamp 'soon'"),
     ("review_requests", _update_event("review_requests", requested_at="2022-01-01T01:00:00"),
      "PR 4.review_requests[0].requested_at: timestamp '2022-01-01T01:00:00' lacks a UTC offset"),
+    ("commits", _update_event("commits", committed_at="9999-12-31T23:59:59-01:00"),
+     "PR 4.commits[0].committed_at: timestamp '9999-12-31T23:59:59-01:00' is out of range"),
+    ("reviews", _update_event("reviews", submitted_at="0001-01-01T00:00:00+01:00"),
+     "PR 4.reviews[0].submitted_at: timestamp '0001-01-01T00:00:00+01:00' is out of range"),
 ]
 
 
@@ -400,7 +408,10 @@ def _reference_parse_timestamp(value, where):
         raise SnapshotParseError(f"{where}: invalid timestamp {value!r}") from exc
     if parsed.tzinfo is None:
         raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
-    return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError as exc:
+        raise SnapshotParseError(f"{where}: timestamp {value!r} is out of range") from exc
 
 
 def _outcome(parse, value):

@@ -504,7 +504,8 @@ def test_default_lexicon_patterns():
 
 # A prefix of another pattern, shared heads, a leading and a trailing
 # wildcard, and patterns whose lower-casing is not one character per
-# character ("İ" lowers to two) or depends on context (a final "Σ" lowers to "ς").
+# character ("İ" lowers to two) or depends on context (a final "Σ" lowers
+# to "ς"). A run of "İ" in a text moves every later offset of its lowered form.
 _PATTERN_POOL = (
     "i can vouch",
     "i can vouch for",
@@ -518,7 +519,7 @@ _PATTERN_POOL = (
     "a\x00b",
 )
 _TEXT_PIECES = ("i", "can", "vouch", "for", "them", "recommend", "this", "their", "work",
-                "İ", "Σ", "ς", "σ", "Α", "\x00", "a", "b", "*")
+                "İ", "İ" * 12, "Σ", "ς", "σ", "Α", "\x00", "a", "b", "*")
 _CASINGS = (str, str.lower, str.upper, str.title)
 
 
@@ -558,3 +559,5 @@ def _oracle_find(patterns, text):
 def test_lexicon_find_is_the_first_oracle_match(lexicon, texts):
     for text in texts:
         assert lexicon.find(text) == _oracle_find(lexicon.patterns, text)
+    assert lexicon.find_each(texts) == [lexicon.find(text) for text in texts]
+    assert lexicon.find_each([]) == []
