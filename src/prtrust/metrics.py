@@ -440,7 +440,8 @@ class VouchLexicon:
         heads = {pattern.partition("*")[0] for pattern in self._lowered}
         if "" in heads:
             return [self.find(text) for text in texts]
-        lowered = [text.lower() for text in texts]  # per text: case mapping depends on context
+        # lowered one by one: lowering can change a text's length and depends on its context
+        lowered = [text.lower() for text in texts]
         starts = list(accumulate((len(text) + 1 for text in lowered), initial=0))
         joined = "\0".join(lowered)
         candidates = set()
@@ -449,7 +450,7 @@ class VouchLexicon:
             while at >= 0:
                 index = bisect_right(starts, at) - 1
                 candidates.add(index)
-                at = joined.find(head, starts[index + 1])
+                at = joined.find(head, starts[index + 1])  # resume at the next text
         return [self.find(text) if i in candidates else None for i, text in enumerate(texts)]
 
 
