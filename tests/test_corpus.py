@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -36,7 +38,9 @@ from prtrust import (
     save_snapshot,
     snapshot_from_dict,
     snapshot_to_dict,
+    validate,
 )
+from prtrust import corpus
 from prtrust.corpus import indented_json, parse_timestamp
 
 
@@ -392,6 +396,293 @@ def test_second_event_is_located_by_its_index():
 
 
 # ---------------------------------------------------------------------------
+# Validation errors: the whole message, and which violation is reported first
+# ---------------------------------------------------------------------------
+
+def _update_pull(**fields):
+    return lambda d: d["pulls"][0].update(fields)
+
+
+def _drop_from_pull(name: str):
+    return lambda d: d["pulls"][0].pop(name)
+
+
+def _append_event(key: str, event: dict):
+    return lambda d: d["pulls"][0][key].append(event)
+
+
+def _all(*mutations):
+    def mutate(d):
+        for m in mutations:
+            m(d)
+    return mutate
+
+
+_LATE = "2022-12-01T00:00:00Z"  # after the snapshot's fetched_at
+_EARLY = "2021-06-01T00:00:00Z"  # before PR 4's created_at
+_SHA40 = "0123456789abcdef" * 2 + "01234567"
+
+# (name, mutation of _base(), the whole error message): one case per raise in
+# validate, _validate_user and _validate_pull, then the invariants checked at decode.
+_VALIDATION_ERRORS = [
+    ("decreasing-pr-number",
+     lambda d: d["pulls"].insert(0, dict(copy.deepcopy(d["pulls"][0]), number=9)),
+     "PR 4: pull numbers must be unique and strictly increasing (follows 9)"),
+    ("duplicate-pr-number", lambda d: d["pulls"].append(copy.deepcopy(d["pulls"][0])),
+     "PR 4: pull numbers must be unique and strictly increasing (follows 4)"),
+    ("negative-followers", lambda d: d["users"][0].update(followers=-1),
+     "user 'dev': followers must be non-negative"),
+    ("bad-permission", lambda d: d["users"][0].update(permission="owner"),
+     "user 'dev': permission must be one of ('admin', 'write', 'read', 'none'), got 'owner'"),
+    ("negative-closed-count",
+     lambda d: d["users"][1].update(closure_history={"closed_count": -1, "accepted_count": 0}),
+     "user 'boss': closure_history counts must be non-negative"),
+    ("negative-accepted-count",
+     lambda d: d["users"][1].update(closure_history={"closed_count": 1, "accepted_count": -1}),
+     "user 'boss': closure_history counts must be non-negative"),
+    ("accepted-exceeds-closed",
+     lambda d: d["users"][1].update(closure_history={"closed_count": 2, "accepted_count": 3}),
+     "user 'boss': closure_history accepted_count 3 exceeds closed_count 2"),
+    ("number-zero", _update_pull(number=0), "PR 0: number must be positive"),
+    ("number-negative", _update_pull(number=-3), "PR -3: number must be positive"),
+    ("bad-state", _update_pull(state="abandoned"),
+     "PR 4: state must be one of ('merged', 'closed_unmerged', 'open'), got 'abandoned'"),
+    ("bad-contribution-kind", _update_pull(contribution_kind="art"),
+     "PR 4: contribution_kind must be one of ('code', 'documentation', 'mixed'), got 'art'"),
+    ("open-with-closed-at", _update_pull(state="open"),
+     "PR 4: open PR must not carry closed_at"),
+    ("open-with-closer", _all(_update_pull(state="open"), _drop_from_pull("closed_at")),
+     "PR 4: open PR must not carry a closer"),
+    ("merged-without-closed-at", _drop_from_pull("closed_at"),
+     "PR 4: state 'merged' requires closed_at"),
+    ("closed-without-closer", _all(_update_pull(state="closed_unmerged"), _drop_from_pull("closer")),
+     "PR 4: state 'closed_unmerged' requires a closer"),
+    ("closed-before-created", _update_pull(closed_at="2021-12-01T00:00:00Z"),
+     "PR 4: closed_at precedes created_at"),
+    ("created-after-fetch", _update_pull(created_at=_LATE, closed_at=_LATE),
+     "PR 4: created_at is after snapshot fetched_at"),
+    ("closed-after-fetch", _update_pull(closed_at=_LATE),
+     "PR 4: closed_at is after snapshot fetched_at"),
+    ("unknown-author", _update_pull(author="nobody"),
+     "PR 4: unknown login 'nobody' (author)"),
+    ("unknown-closer", _update_pull(closer="mystery"),
+     "PR 4: unknown login 'mystery' (closer)"),
+    ("duplicate-comment-id-across-lists", _update_event("review_comments", id=41),
+     "PR 4: duplicate comment id 41"),
+    ("duplicate-comment-id-in-one-list", _append_event("issue_comments", comment(41, "boss", iso(1))),
+     "PR 4: duplicate comment id 41"),
+    ("unknown-issue-comment-author", _update_event("issue_comments", author="nobody"),
+     "PR 4: unknown login 'nobody' (issue comment author)"),
+    ("issue-comment-before-created", _update_event("issue_comments", created_at=_EARLY),
+     "PR 4: issue comment 41 timestamp precedes PR created_at"),
+    ("issue-comment-after-fetch", _update_event("issue_comments", created_at=_LATE),
+     "PR 4: issue comment 41 timestamp is after snapshot fetched_at"),
+    ("unknown-review-comment-author", _update_event("review_comments", author="nobody"),
+     "PR 4: unknown login 'nobody' (review comment author)"),
+    ("review-comment-before-created", _update_event("review_comments", created_at=_EARLY),
+     "PR 4: review comment 42 timestamp precedes PR created_at"),
+    ("review-comment-after-fetch", _update_event("review_comments", created_at=_LATE),
+     "PR 4: review comment 42 timestamp is after snapshot fetched_at"),
+    ("duplicate-review-id", _append_event("reviews", review(43, "boss", iso(1, hours=3))),
+     "PR 4: duplicate review id 43"),
+    ("bad-verdict", _update_event("reviews", verdict="LGTM"),
+     "PR 4: review 43 verdict must be one of "
+     "('approved', 'commented', 'changes_requested', 'dismissed'), got 'LGTM'"),
+    ("unknown-review-author", _update_event("reviews", author="nobody"),
+     "PR 4: unknown login 'nobody' (review author)"),
+    ("review-before-created", _update_event("reviews", submitted_at=_EARLY),
+     "PR 4: review 43 timestamp precedes PR created_at"),
+    ("review-after-fetch", _update_event("reviews", submitted_at=_LATE),
+     "PR 4: review 43 timestamp is after snapshot fetched_at"),
+    ("self-review-request", _update_event("review_requests", requestee="dev"),
+     "PR 4: review request targets the PR author 'dev'"),
+    ("unknown-requested-reviewer", _update_event("review_requests", requestee="nobody"),
+     "PR 4: unknown login 'nobody' (requested reviewer)"),
+    ("review-request-before-created", _update_event("review_requests", requested_at=_EARLY),
+     "PR 4: review request for 'boss' precedes PR created_at"),
+    ("review-request-after-fetch", _update_event("review_requests", requested_at=_LATE),
+     "PR 4: review request for 'boss' is after snapshot fetched_at"),
+    ("non-hex-sha", _update_event("commits", sha="zzzz"),
+     "PR 4: commit sha 'zzzz' is not a hex string"),
+    ("empty-sha", _update_event("commits", sha=""),
+     "PR 4: commit sha '' is not a hex string"),
+    ("sha-with-trailing-newline", _update_event("commits", sha="ab12\n"),
+     "PR 4: commit sha 'ab12\n' is not a hex string"),
+    ("sha-with-non-ascii-digits", _update_event("commits", sha="ab١٢"),
+     "PR 4: commit sha 'ab١٢' is not a hex string"),
+    ("duplicate-sha", _append_event("commits", commit("ab12", "dev", iso(0, hours=3))),
+     "PR 4: duplicate commit sha 'ab12'"),
+    ("unknown-commit-author", _update_event("commits", author="nobody"),
+     "PR 4: unknown login 'nobody' (commit author)"),
+    ("commit-before-created", _update_event("commits", committed_at=_EARLY),
+     "PR 4: commit ab12 timestamp precedes PR created_at"),
+    ("long-sha-commit-after-fetch", _update_event("commits", sha=_SHA40, committed_at=_LATE),
+     "PR 4: commit 0123456789ab timestamp is after snapshot fetched_at"),
+    ("duplicate-user", lambda d: d["users"].append(dict(d["users"][0])),
+     "users[2]: duplicate login 'dev'"),
+    ("duplicate-label", _update_pull(labels=["bug", "bug"]),
+     "PR 4: duplicate label in 'labels'"),
+]
+
+# (name, two or more violations at once, the whole message of the one reported first)
+_FIRST_VIOLATIONS = [
+    ("comment-author-before-its-window",
+     _update_event("issue_comments", author="nobody", created_at=_LATE),
+     "PR 4: unknown login 'nobody' (issue comment author)"),
+    ("issue-comment-before-commit",
+     _all(_update_event("issue_comments", author="nobody"), _update_event("commits", sha="zzzz")),
+     "PR 4: unknown login 'nobody' (issue comment author)"),
+    ("comment-id-before-comment-author", _update_event("review_comments", id=41, author="nobody"),
+     "PR 4: duplicate comment id 41"),
+    ("earlier-comment-before-later-duplicate-id",
+     _all(_append_event("issue_comments", comment(44, "nobody", iso(1))),
+          _append_event("issue_comments", comment(41, "boss", iso(1)))),
+     "PR 4: unknown login 'nobody' (issue comment author)"),
+    ("review-comment-before-review",
+     _all(_update_event("review_comments", created_at=_EARLY), _update_event("reviews", verdict="LGTM")),
+     "PR 4: review comment 42 timestamp precedes PR created_at"),
+    ("verdict-before-review-author", _update_event("reviews", verdict="LGTM", author="nobody"),
+     "PR 4: review 43 verdict must be one of "
+     "('approved', 'commented', 'changes_requested', 'dismissed'), got 'LGTM'"),
+    ("review-before-review-request",
+     _all(_update_event("reviews", submitted_at=_LATE), _update_event("review_requests", requestee="dev")),
+     "PR 4: review 43 timestamp is after snapshot fetched_at"),
+    ("self-request-before-its-window", _update_event("review_requests", requestee="dev", requested_at=_LATE),
+     "PR 4: review request targets the PR author 'dev'"),
+    ("hex-before-commit-author", _update_event("commits", sha="zzzz", author="nobody"),
+     "PR 4: commit sha 'zzzz' is not a hex string"),
+    ("duplicate-sha-before-commit-author", _append_event("commits", commit("ab12", "nobody", _LATE)),
+     "PR 4: duplicate commit sha 'ab12'"),
+    ("author-before-closer", _update_pull(author="nobody", closer="mystery"),
+     "PR 4: unknown login 'nobody' (author)"),
+    ("closer-before-events",
+     _all(_update_pull(closer="mystery"), _update_event("issue_comments", author="nobody")),
+     "PR 4: unknown login 'mystery' (closer)"),
+    ("fetch-window-before-logins", _update_pull(created_at=_LATE, closed_at=_LATE, author="nobody"),
+     "PR 4: created_at is after snapshot fetched_at"),
+    ("user-before-pull",
+     _all(lambda d: d["users"][0].update(followers=-1), _update_event("reviews", verdict="LGTM")),
+     "user 'dev': followers must be non-negative"),
+    ("earlier-pull-before-number-order",
+     _all(_update_event("reviews", verdict="LGTM"),
+          lambda d: d["pulls"].append(dict(copy.deepcopy(d["pulls"][0]), number=3))),
+     "PR 4: review 43 verdict must be one of "
+     "('approved', 'commented', 'changes_requested', 'dismissed'), got 'LGTM'"),
+    ("decode-before-validate",
+     _all(_update_pull(author="nobody"),
+          lambda d: d["pulls"].append(dict(copy.deepcopy(d["pulls"][0]), number=5, surprise=1))),
+     "pulls[1]: unknown field 'surprise'"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [pytest.param(mutate, message, id=name) for name, mutate, message in _VALIDATION_ERRORS + _FIRST_VIOLATIONS],
+)
+def test_validation_errors_carry_the_full_message(mutate, message):
+    data = _base()
+    mutate(data)
+    with pytest.raises(SnapshotError) as err:
+        snapshot_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_login_key_mismatch_is_named():
+    snap = snapshot_from_dict(_base())
+    mismatched = dataclasses.replace(snap, users={**snap.users, "dev": snap.users["boss"]})
+    with pytest.raises(SnapshotValidationError) as err:
+        validate(mismatched)
+    assert str(err.value) == "user 'dev': login key mismatch 'boss'"
+
+
+def test_events_at_the_window_bounds_are_accepted():
+    data = _base()
+    pr = data["pulls"][0]
+    pr["issue_comments"].append(comment(44, "boss", pr["created_at"]))
+    pr["review_comments"].append(comment(45, "boss", FETCHED))
+    pr["commits"].append(commit("cd34", "dev", FETCHED))
+    snap = snapshot_from_dict(data)
+    assert snap.pulls[0].issue_comments[-1].created_at == snap.pulls[0].created_at
+    assert snap.pulls[0].commits[-1].committed_at == snap.fetched_at
+
+
+# ---------------------------------------------------------------------------
+# Decode paths: every accepted spelling decodes to the same snapshot
+# ---------------------------------------------------------------------------
+
+_EVENT_LIST_KEYS = ("commits", "issue_comments", "review_comments", "reviews", "review_requests")
+
+
+def _with_event_keys_reversed(data):
+    """A copy of ``data`` with the keys of every event object in reverse order."""
+    data = copy.deepcopy(data)
+    pulls = data.get("pulls") if isinstance(data, dict) else None
+    for pr in pulls if isinstance(pulls, list) else ():
+        for key in _EVENT_LIST_KEYS if isinstance(pr, dict) else ():
+            events = pr.get(key)
+            for i, event in enumerate(events if isinstance(events, list) else ()):
+                if isinstance(event, dict):
+                    events[i] = dict(reversed(event.items()))
+    return data
+
+
+def _decoded(data):
+    """The snapshot ``data`` decodes to, or the type and message of the error it raises."""
+    try:
+        return snapshot_from_dict(data)
+    except Exception as exc:  # the exact exception is part of the contract
+        return type(exc), str(exc)
+
+
+@given(st.sampled_from([()] + _RICH_PATHS), st.sampled_from(MUTANTS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_event_key_order_does_not_change_the_result(path, value):
+    data = rich_snapshot_dict()
+    if path:
+        replace_at(data, path, value)
+    assert _decoded(_with_event_keys_reversed(data)) == _decoded(data)
+
+
+def _utc_offset_spelled_out(node):
+    """A copy of ``node`` with every "…Z" timestamp written as "…+00:00"."""
+    if isinstance(node, dict):
+        return {key: value[:-1] + "+00:00" if key.endswith("_at") else _utc_offset_spelled_out(value)
+                for key, value in node.items()}
+    if isinstance(node, list):
+        return [_utc_offset_spelled_out(value) for value in node]
+    return node
+
+
+def test_other_spellings_decode_to_an_equal_snapshot(rich_dict):
+    snap = snapshot_from_dict(rich_dict)
+    spelled_out = _utc_offset_spelled_out(rich_dict)
+    assert '+00:00"' in json.dumps(spelled_out) and 'Z"' not in json.dumps(spelled_out)
+    assert snapshot_from_dict(spelled_out) == snap
+    assert snapshot_from_dict(_with_event_keys_reversed(rich_dict)) == snap
+
+
+def test_well_formed_events_skip_the_checked_readers(rich_dict, monkeypatch):
+    """Structural, not timed: a well-formed event is never located and key-checked."""
+    checked = []
+    check_keys = corpus._check_keys
+
+    def spy(data, allowed, where):
+        checked.append(where)
+        return check_keys(data, allowed, where)
+
+    monkeypatch.setattr(corpus, "_check_keys", spy)
+    snapshot_from_dict(rich_dict)
+    assert "pulls[0]" in checked
+    assert [where for where in checked if re.fullmatch(r"PR \d+\.\w+\[\d+\]", where)] == []
+
+    # the spy does see an event that needs the checked readers
+    rich_dict["pulls"][2]["issue_comments"][1]["created_at"] = "2022-01-03T02:00:00"
+    with pytest.raises(SnapshotParseError):
+        snapshot_from_dict(rich_dict)
+    assert "PR 3.issue_comments[1]" in checked
+
+
+# ---------------------------------------------------------------------------
 # Timestamps
 # ---------------------------------------------------------------------------
 
@@ -436,6 +727,19 @@ def timestamp_texts(draw) -> str:
 @given(st.one_of(timestamp_texts(), st.text(max_size=30), st.integers(), st.none()))
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_parse_timestamp_matches_the_general_path(value):
+    assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
+
+
+@pytest.mark.parametrize("value", [
+    "2022-01-01T00:00:00Z", "2022-01-01Z", "2022-01-01T00Z", "2022-01-01T00:00Z",
+    "2022-01-01 00:00:00Z", "20220101T000000Z", "2022-W01-1T00:00:00Z",
+    "2022-01-01T00:00:00.000000Z", "2022-01-01T00:00:00.5Z", "2022-01-01T00:00:00+01:00Z",
+    " 2022-01-01T00:00:00Z", "\t2022-01-01T00:00:00Z", "0001-01-01T00:00:00Z",
+    "9999-12-31T23:59:59Z", "2022-02-30T00:00:00Z", "Z", "", "z",
+])
+def test_parse_timestamp_matches_the_general_path_on_utc_spellings(value):
+    """"Z" forms that are not the canonical "YYYY-MM-DDTHH:MM:SSZ", by version of
+    ``datetime.fromisoformat``: some parse naive, some parse on 3.11+ only."""
     assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
 
 
