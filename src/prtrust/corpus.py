@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, NoReturn
 
-from .errors import SnapshotParseError, SnapshotValidationError
+from .errors import SnapshotError, SnapshotParseError, SnapshotValidationError
 
 _encode_str = json.encoder.encode_basestring  # the C encoder, as ensure_ascii=False uses
 
@@ -53,6 +54,14 @@ def parse_timestamp(value: Any, where: str) -> datetime:
     those whose UTC instant falls outside years 1-9999, are rejected.
     Sub-second precision is truncated.
     """
+    if isinstance(value, str) and value.endswith("Z"):
+        # The canonical form skips the general path below, which returns the same value.
+        try:
+            parsed = datetime.fromisoformat(value[:-1] + "+00:00")
+        except ValueError:
+            parsed = None
+        if parsed is not None and parsed.tzinfo is timezone.utc and not parsed.microsecond:
+            return parsed
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
     raw = value.strip()
@@ -337,9 +346,10 @@ def _int_field(data: dict, key: str, where: str) -> int:
 
 def _string_list(data: dict, key: str, where: str) -> list[str]:
     values = _require_list(_take(data, key, where), f"{where}.{key}")
-    for i, item in enumerate(values):
-        if not isinstance(item, str):
-            raise SnapshotParseError(f"{where}.{key}[{i}]: expected a string, got {_typename(item)}")
+    if not set(map(type, values)) <= {str}:
+        for i, item in enumerate(values):
+            if not isinstance(item, str):
+                raise SnapshotParseError(f"{where}.{key}[{i}]: expected a string, got {_typename(item)}")
     return values
 
 
@@ -350,17 +360,17 @@ def _time_field(data: dict, key: str, where: str) -> datetime:
 # Per field annotation: the checked reader and the JSON type of a well-formed value.
 _FIELD_KINDS = {"int": (_int_field, int), "str": (_str_field, str), "datetime": (_time_field, str)}
 
-# Each event's JSON keys, in the order they are encoded and checked, are its
-# dataclass fields. Per class: key -> checked reader, the JSON types of a
-# well-formed event's values, and the positions of its timestamps.
-_EVENT_FIELDS = {
-    cls: (
-        {f.name: _FIELD_KINDS[f.type][0] for f in fields(cls)},
-        [_FIELD_KINDS[f.type][1] for f in fields(cls)],
-        tuple(i for i, f in enumerate(fields(cls)) if f.type == "datetime"),
-    )
-    for cls in (Comment, Review, ReviewRequest, CommitEvent)
-}
+
+def _event_codec(cls: type) -> tuple[dict, list, int]:
+    """Key -> checked reader, the JSON types of a well-formed event's values, and
+    the position of its timestamp. The keys, in the order they are encoded and
+    checked, are the dataclass fields; every event has exactly one timestamp."""
+    kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+    (stamp,) = [i for i, f in enumerate(fields(cls)) if f.type == "datetime"]
+    return {name: read for name, (read, _) in kinds.items()}, [t for _, t in kinds.values()], stamp
+
+
+_EVENT_FIELDS = {cls: _event_codec(cls) for cls in (Comment, Review, ReviewRequest, CommitEvent)}
 _PR_KEYS = frozenset(f.name for f in fields(PullRequest))
 
 # The event lists of a pull request, in JSON key order.
@@ -373,34 +383,30 @@ _EVENT_LISTS = (
 )
 
 
-def _read_event(raw: Any, cls: type) -> Any:
-    """The event a well-formed ``raw`` describes, or None to take the checked path."""
-    readers, types, times = _EVENT_FIELDS[cls]
-    if type(raw) is not dict or raw.keys() != readers.keys():
-        return None
-    values = list(map(raw.__getitem__, readers))
-    if list(map(type, values)) != types:
-        return None
-    try:
-        for i in times:
-            values[i] = parse_timestamp(values[i], "")
-    except SnapshotParseError:
-        return None
-    return cls(*values)
-
-
 def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
-    readers = _EVENT_FIELDS[cls][0]
+    readers, types, stamp = _EVENT_FIELDS[cls]
+    keys = readers.keys()
+    take = itemgetter(*keys)
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
-        event = _read_event(raw, cls)
-        if event is None:
-            # Something is wrong with it: the checked readers locate and name it.
-            at = f"{where}.{key}[{i}]"
-            raw = _require_dict(raw, at)
-            _check_keys(raw, readers.keys(), at)
-            event = cls(*[read(raw, name, at) for name, read in readers.items()])
-        events.append(event)
+        # The fast path: exact keys (in any order), JSON types and a canonical timestamp,
+        # parsed as parse_timestamp's own fast path does.
+        if type(raw) is dict and raw.keys() == keys:
+            values = list(take(raw))
+            if list(map(type, values)) == types and values[stamp].endswith("Z"):
+                try:
+                    parsed = datetime.fromisoformat(values[stamp][:-1] + "+00:00")
+                except ValueError:
+                    parsed = None
+                if parsed is not None and parsed.tzinfo is timezone.utc and not parsed.microsecond:
+                    values[stamp] = parsed
+                    events.append(cls(*values))
+                    continue
+        # Another spelling, or something is wrong: the checked readers read it or name the fault.
+        at = f"{where}.{key}[{i}]"
+        raw = _require_dict(raw, at)
+        _check_keys(raw, keys, at)
+        events.append(cls(*[read(raw, name, at) for name, read in readers.items()]))
     return tuple(events)
 
 
@@ -499,9 +505,13 @@ def load_snapshot(path: str | Path) -> RepoSnapshot:
 
     Raises SnapshotParseError for unreadable or malformed files and
     SnapshotValidationError when a domain invariant is violated; the
-    message locates the offending PR number or login.
+    message names the file and locates the offending PR number or login.
     """
-    return snapshot_from_dict(read_json(Path(path), "snapshot"))
+    data = read_json(Path(path), "snapshot")
+    try:
+        return snapshot_from_dict(data)
+    except SnapshotError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_json(path: Path, what: str) -> Any:
@@ -581,24 +591,25 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
         if pr.closed_at < pr.created_at:
             raise SnapshotValidationError(f"{where}: closed_at precedes created_at")
 
-    def check_login(login: str, role: str) -> None:
-        if login not in snapshot.users:
+    users, created, fetched = snapshot.users, pr.created_at, snapshot.fetched_at
+
+    def reject(login: str, role: str, ts: datetime | None = None, what: str = "") -> NoReturn:
+        """Raise the first of the login and time-window violations an event has."""
+        if login not in users:
             raise SnapshotValidationError(f"{where}: unknown login '{login}' ({role})")
-
-    def check_window(ts: datetime, what: str) -> None:
-        if ts < pr.created_at:
+        if ts < created:
             raise SnapshotValidationError(f"{where}: {what} precedes PR created_at")
-        if ts > snapshot.fetched_at:
-            raise SnapshotValidationError(f"{where}: {what} is after snapshot fetched_at")
+        raise SnapshotValidationError(f"{where}: {what} is after snapshot fetched_at")
 
-    if pr.created_at > snapshot.fetched_at:
+    if created > fetched:
         raise SnapshotValidationError(f"{where}: created_at is after snapshot fetched_at")
-    if pr.closed_at is not None and pr.closed_at > snapshot.fetched_at:
+    if pr.closed_at is not None and pr.closed_at > fetched:
         raise SnapshotValidationError(f"{where}: closed_at is after snapshot fetched_at")
 
-    check_login(pr.author, "author")
-    if pr.closer is not None:
-        check_login(pr.closer, "closer")
+    if pr.author not in users:
+        reject(pr.author, "author")
+    if pr.closer is not None and pr.closer not in users:
+        reject(pr.closer, "closer")
 
     seen_comment_ids: set[int] = set()
     for kind, comments in (("issue comment", pr.issue_comments), ("review comment", pr.review_comments)):
@@ -606,8 +617,8 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
             if comment.id in seen_comment_ids:
                 raise SnapshotValidationError(f"{where}: duplicate comment id {comment.id}")
             seen_comment_ids.add(comment.id)
-            check_login(comment.author, f"{kind} author")
-            check_window(comment.created_at, f"{kind} {comment.id} timestamp")
+            if comment.author not in users or not created <= comment.created_at <= fetched:
+                reject(comment.author, f"{kind} author", comment.created_at, f"{kind} {comment.id} timestamp")
 
     seen_review_ids: set[int] = set()
     for review in pr.reviews:
@@ -619,26 +630,27 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
                 f"{where}: review {review.id} verdict must be one of {REVIEW_VERDICTS}, "
                 f"got '{review.verdict}'"
             )
-        check_login(review.author, "review author")
-        check_window(review.submitted_at, f"review {review.id} timestamp")
+        if review.author not in users or not created <= review.submitted_at <= fetched:
+            reject(review.author, "review author", review.submitted_at, f"review {review.id} timestamp")
 
     for request in pr.review_requests:
         if request.requestee == pr.author:
             raise SnapshotValidationError(
                 f"{where}: review request targets the PR author '{request.requestee}'"
             )
-        check_login(request.requestee, "requested reviewer")
-        check_window(request.requested_at, f"review request for '{request.requestee}'")
+        if request.requestee not in users or not created <= request.requested_at <= fetched:
+            reject(request.requestee, "requested reviewer", request.requested_at,
+                   f"review request for '{request.requestee}'")
 
     seen_shas: set[str] = set()
     for commit in pr.commits:
-        if not commit.sha or any(c not in "0123456789abcdefABCDEF" for c in commit.sha):
+        if not commit.sha or commit.sha.strip("0123456789abcdefABCDEF"):
             raise SnapshotValidationError(f"{where}: commit sha '{commit.sha}' is not a hex string")
         if commit.sha in seen_shas:
             raise SnapshotValidationError(f"{where}: duplicate commit sha '{commit.sha}'")
         seen_shas.add(commit.sha)
-        check_login(commit.author, "commit author")
-        check_window(commit.committed_at, f"commit {commit.sha[:12]} timestamp")
+        if commit.author not in users or not created <= commit.committed_at <= fetched:
+            reject(commit.author, "commit author", commit.committed_at, f"commit {commit.sha[:12]} timestamp")
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +692,9 @@ def _encode_pull(pr: PullRequest) -> dict:
 
 
 def _encode_event(event: Any) -> dict:
-    readers, _, times = _EVENT_FIELDS[type(event)]
+    readers, _, stamp = _EVENT_FIELDS[type(event)]
     values = list(map(event.__getattribute__, readers))
-    for i in times:
-        values[i] = format_timestamp(values[i])
+    values[stamp] = format_timestamp(values[stamp])
     return dict(zip(readers, values))
 
 

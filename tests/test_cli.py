@@ -194,7 +194,7 @@ def test_out_of_range_timestamp_exits_1_naming_it(fetched_at, tmp_path):
     result = _cli(tmp_path, "analyze", "--in", str(bad), "--out", "r.json", "--format", "json")
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
-    assert f"repo.fetched_at: timestamp '{fetched_at}' is out of range" in result.stderr
+    assert f"{bad}: repo.fetched_at: timestamp '{fetched_at}' is out of range" in result.stderr
     assert not (tmp_path / "r.json").exists()
 
 

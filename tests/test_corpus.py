@@ -143,6 +143,24 @@ def test_not_json(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("error", [SnapshotParseError, SnapshotValidationError])
+def test_load_errors_name_the_file(error, tmp_path):
+    data = _base()
+    if error is SnapshotParseError:
+        data["pulls"][0]["surprise"] = 1
+    else:
+        data["pulls"][0]["author"] = "nobody"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(path)
+    with pytest.raises(SnapshotError) as direct:
+        snapshot_from_dict(data)
+    assert type(err.value) is type(direct.value) is error
+    assert str(err.value) == f"{path}: {direct.value}"
+    assert type(err.value.__cause__) is error and str(err.value.__cause__) == str(direct.value)
+
+
 # ---------------------------------------------------------------------------
 # Negative-fixture suite: every malformation is rejected with a located error
 # ---------------------------------------------------------------------------
@@ -327,6 +345,8 @@ _EVENT_ERRORS = [
      "PR 4.issue_comments[0].created_at: timestamp must be a string, got int"),
     ("issue_comments", _update_event("issue_comments", created_at="2022-01-02"),
      "PR 4.issue_comments[0].created_at: timestamp '2022-01-02' lacks a UTC offset"),
+    ("issue_comments", _update_event("issue_comments", created_at="2022-01-02Z"),
+     "PR 4.issue_comments[0].created_at: timestamp '2022-01-02Z' lacks a UTC offset"),
     ("review_comments", _set_event("review_comments", None),
      "PR 4.review_comments[0]: expected an object, got NoneType"),
     ("review_comments", _drop_from_event("review_comments", "id"),
