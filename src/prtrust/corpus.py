@@ -389,8 +389,8 @@ def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
     take = itemgetter(*keys)
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
-        # The fast path: exact keys (in any order), JSON types and a canonical timestamp,
-        # parsed as parse_timestamp's own fast path does.
+        # The fast path, with no helper call per event: exact keys (in any order), JSON types,
+        # and a timestamp in the canonical form that parse_timestamp tries first.
         if type(raw) is dict and raw.keys() == keys:
             values = list(take(raw))
             if list(map(type, values)) == types and values[stamp].endswith("Z"):

@@ -345,8 +345,6 @@ _EVENT_ERRORS = [
      "PR 4.issue_comments[0].created_at: timestamp must be a string, got int"),
     ("issue_comments", _update_event("issue_comments", created_at="2022-01-02"),
      "PR 4.issue_comments[0].created_at: timestamp '2022-01-02' lacks a UTC offset"),
-    ("issue_comments", _update_event("issue_comments", created_at="2022-01-02Z"),
-     "PR 4.issue_comments[0].created_at: timestamp '2022-01-02Z' lacks a UTC offset"),
     ("review_comments", _set_event("review_comments", None),
      "PR 4.review_comments[0]: expected an object, got NoneType"),
     ("review_comments", _drop_from_event("review_comments", "id"),
@@ -389,6 +387,8 @@ _EVENT_ERRORS = [
      "PR 4.commits[0].committed_at: timestamp '9999-12-31T23:59:59-01:00' is out of range"),
     ("reviews", _update_event("reviews", submitted_at="0001-01-01T00:00:00+01:00"),
      "PR 4.reviews[0].submitted_at: timestamp '0001-01-01T00:00:00+01:00' is out of range"),
+    ("issue_comments", _update_event("issue_comments", created_at="2022-01-02Z"),
+     "PR 4.issue_comments[0].created_at: timestamp '2022-01-02Z' lacks a UTC offset"),
 ]
 
 
