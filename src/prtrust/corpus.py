@@ -54,14 +54,6 @@ def parse_timestamp(value: Any, where: str) -> datetime:
     those whose UTC instant falls outside years 1-9999, are rejected.
     Sub-second precision is truncated.
     """
-    if isinstance(value, str) and value.endswith("Z"):
-        # The canonical form skips the general path below, which returns the same value.
-        try:
-            parsed = datetime.fromisoformat(value[:-1] + "+00:00")
-        except ValueError:
-            parsed = None
-        if parsed is not None and parsed.tzinfo is timezone.utc and not parsed.microsecond:
-            return parsed
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
     raw = value.strip()
@@ -346,10 +338,9 @@ def _int_field(data: dict, key: str, where: str) -> int:
 
 def _string_list(data: dict, key: str, where: str) -> list[str]:
     values = _require_list(_take(data, key, where), f"{where}.{key}")
-    if not set(map(type, values)) <= {str}:
-        for i, item in enumerate(values):
-            if not isinstance(item, str):
-                raise SnapshotParseError(f"{where}.{key}[{i}]: expected a string, got {_typename(item)}")
+    for i, item in enumerate(values):
+        if not isinstance(item, str):
+            raise SnapshotParseError(f"{where}.{key}[{i}]: expected a string, got {_typename(item)}")
     return values
 
 
@@ -390,7 +381,8 @@ def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
         # The fast path, with no helper call per event: exact keys (in any order), JSON types,
-        # and a timestamp in the canonical form that parse_timestamp tries first.
+        # and a "Z" timestamp, parsed as parse_timestamp's early return for a utc-singleton
+        # result with no microseconds gives it back.
         if type(raw) is dict and raw.keys() == keys:
             values = list(take(raw))
             if list(map(type, values)) == types and values[stamp].endswith("Z"):
@@ -593,10 +585,7 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
 
     users, created, fetched = snapshot.users, pr.created_at, snapshot.fetched_at
 
-    def reject(login: str, role: str, ts: datetime | None = None, what: str = "") -> NoReturn:
-        """Raise the first of the login and time-window violations an event has."""
-        if login not in users:
-            raise SnapshotValidationError(f"{where}: unknown login '{login}' ({role})")
+    def outside_window(ts: datetime, what: str) -> NoReturn:
         if ts < created:
             raise SnapshotValidationError(f"{where}: {what} precedes PR created_at")
         raise SnapshotValidationError(f"{where}: {what} is after snapshot fetched_at")
@@ -607,9 +596,9 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
         raise SnapshotValidationError(f"{where}: closed_at is after snapshot fetched_at")
 
     if pr.author not in users:
-        reject(pr.author, "author")
+        raise SnapshotValidationError(f"{where}: unknown login '{pr.author}' (author)")
     if pr.closer is not None and pr.closer not in users:
-        reject(pr.closer, "closer")
+        raise SnapshotValidationError(f"{where}: unknown login '{pr.closer}' (closer)")
 
     seen_comment_ids: set[int] = set()
     for kind, comments in (("issue comment", pr.issue_comments), ("review comment", pr.review_comments)):
@@ -617,8 +606,10 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
             if comment.id in seen_comment_ids:
                 raise SnapshotValidationError(f"{where}: duplicate comment id {comment.id}")
             seen_comment_ids.add(comment.id)
-            if comment.author not in users or not created <= comment.created_at <= fetched:
-                reject(comment.author, f"{kind} author", comment.created_at, f"{kind} {comment.id} timestamp")
+            if comment.author not in users:
+                raise SnapshotValidationError(f"{where}: unknown login '{comment.author}' ({kind} author)")
+            if not created <= comment.created_at <= fetched:
+                outside_window(comment.created_at, f"{kind} {comment.id} timestamp")
 
     seen_review_ids: set[int] = set()
     for review in pr.reviews:
@@ -630,17 +621,22 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
                 f"{where}: review {review.id} verdict must be one of {REVIEW_VERDICTS}, "
                 f"got '{review.verdict}'"
             )
-        if review.author not in users or not created <= review.submitted_at <= fetched:
-            reject(review.author, "review author", review.submitted_at, f"review {review.id} timestamp")
+        if review.author not in users:
+            raise SnapshotValidationError(f"{where}: unknown login '{review.author}' (review author)")
+        if not created <= review.submitted_at <= fetched:
+            outside_window(review.submitted_at, f"review {review.id} timestamp")
 
     for request in pr.review_requests:
         if request.requestee == pr.author:
             raise SnapshotValidationError(
                 f"{where}: review request targets the PR author '{request.requestee}'"
             )
-        if request.requestee not in users or not created <= request.requested_at <= fetched:
-            reject(request.requestee, "requested reviewer", request.requested_at,
-                   f"review request for '{request.requestee}'")
+        if request.requestee not in users:
+            raise SnapshotValidationError(
+                f"{where}: unknown login '{request.requestee}' (requested reviewer)"
+            )
+        if not created <= request.requested_at <= fetched:
+            outside_window(request.requested_at, f"review request for '{request.requestee}'")
 
     seen_shas: set[str] = set()
     for commit in pr.commits:
@@ -649,8 +645,10 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
         if commit.sha in seen_shas:
             raise SnapshotValidationError(f"{where}: duplicate commit sha '{commit.sha}'")
         seen_shas.add(commit.sha)
-        if commit.author not in users or not created <= commit.committed_at <= fetched:
-            reject(commit.author, "commit author", commit.committed_at, f"commit {commit.sha[:12]} timestamp")
+        if commit.author not in users:
+            raise SnapshotValidationError(f"{where}: unknown login '{commit.author}' (commit author)")
+        if not created <= commit.committed_at <= fetched:
+            outside_window(commit.committed_at, f"commit {commit.sha[:12]} timestamp")
 
 
 # ---------------------------------------------------------------------------

@@ -759,9 +759,19 @@ def test_parse_timestamp_matches_the_general_path(value):
 ])
 def test_parse_timestamp_matches_the_general_path_on_utc_spellings(value):
     """"Z" forms that are not the canonical "YYYY-MM-DDTHH:MM:SSZ", by version of
-    ``datetime.fromisoformat``: some parse naive, some parse on 3.11+ only."""
+    ``datetime.fromisoformat``: some parse naive, some parse on 3.11+ only. The event
+    decoder, which parses "Z" timestamps inline, gives the same outcome."""
     assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
 
+    def decode_event(text, where):
+        event = {"id": 1, "author": "a", "created_at": text, "body": ""}
+        (decoded,) = corpus._decode_events({"issue_comments": [event]}, "issue_comments", corpus.Comment, where)
+        return decoded.created_at
+
+    def parse_field(text, where):
+        return parse_timestamp(text, f"{where}.issue_comments[0].created_at")
+
+    assert _outcome(decode_event, value) == _outcome(parse_field, value)
 
 
 @pytest.mark.parametrize("year", [1, 999])
