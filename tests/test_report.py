@@ -9,6 +9,7 @@ import pytest
 from conftest import comment, commit, iso, pull, request, snapshot, user
 from prtrust import (
     AnalysisConfig,
+    SnapshotParseError,
     analyze_snapshot,
     build_bundle,
     config_echo,
@@ -165,6 +166,27 @@ def test_json_key_order_is_stable(rich_bundle):
     assert list(data["profiles"][0]) == [
         "pr_number", "outcome", "overall", "coverage", "dimensions",
     ]
+
+
+def _edited_report(bundle, tmp_path, edit):
+    """Write ``bundle`` as a JSON report after ``edit`` changes its dict form."""
+    data = json.loads(json_text(bundle))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("edit, missing", [
+    (lambda data: data["profiles"][3]["dimensions"]["commitment"].pop("available"), "available"),
+    (lambda data: data["profiles"][3].pop("coverage"), "coverage"),
+])
+def test_load_bundle_rejects_a_profile_without_available_or_coverage(
+    rich_bundle, tmp_path, edit, missing
+):
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(_edited_report(rich_bundle, tmp_path, edit))
+    assert str(err.value) == f"malformed report bundle: KeyError('{missing}')"
 
 
 def test_config_echo_reproduces_run(rich_snapshot, tmp_path):
