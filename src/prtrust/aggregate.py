@@ -35,16 +35,19 @@ class TrustProfile:
 
     ``overall`` is the weighted mean of the available scores with the
     weight vector renormalized over available dimensions; absent when no
-    dimension is available. ``coverage`` counts available dimensions.
-    The PR's outcome is carried along so reports and summaries do not
-    need the snapshot.
+    dimension is available. The PR's outcome is carried along so reports
+    and summaries do not need the snapshot.
     """
 
     pr_number: int
     outcome: str
     scores: dict[str, DimensionScore]
     overall: float | None
-    coverage: int
+
+    @property
+    def coverage(self) -> int:
+        """How many dimensions are available."""
+        return sum(1 for score in self.scores.values() if score.available)
 
 
 def build_profile(
@@ -71,7 +74,6 @@ def build_profile(
         outcome=outcome(pr),
         scores=scores,
         overall=combine_scores(scores, config.weights),
-        coverage=sum(1 for s in scores.values() if s.available),
     )
 
 
@@ -100,7 +102,7 @@ def analyze_snapshot(
     if lexicon is None:
         lexicon = config.load_lexicon()
     profiles = [build_profile(pr, snapshot, config, lexicon) for pr in snapshot.pulls]
-    return profiles, summarize(profiles, snapshot)
+    return profiles, summarize(profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ class RepoSummary:
         return self.rejected.first_timer_prs
 
 
-def summarize(profiles: Iterable[TrustProfile], snapshot: RepoSnapshot) -> RepoSummary:
+def summarize(profiles: Iterable[TrustProfile]) -> RepoSummary:
     """Fold per-PR profiles into the per-stratum summary.
 
     Permutation-invariant over the profile list; raises ValueError on
@@ -233,7 +235,5 @@ def _summarize_stratum(profiles: list[TrustProfile]) -> StratumSummary:
         prs_with_full_acceptance_closer=count(
             lambda s: s["personality"].evidence["closer_propensity"] == 1.0
         ),
-        prs_with_transferred_flag=count(
-            lambda s: s["transferred"].available and s["transferred"].score == 1.0
-        ),
+        prs_with_transferred_flag=count(lambda s: s["transferred"].score == 1.0),
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
@@ -36,11 +37,12 @@ CONTRIBUTION_KINDS = ("code", "documentation", "mixed")
 REVIEW_VERDICTS = ("approved", "commented", "changes_requested", "dismissed")
 PERMISSIONS = ("admin", "write", "read", "none")
 
-OUTCOMES = ("accepted", "rejected", "pending")
-
 # A path is documentation when its extension or any path segment matches.
 DOC_EXTENSIONS = (".md", ".rst", ".txt", ".adoc")
 DOC_SEGMENTS = ("docs", "doc")
+
+# The fraction of an "HH:MM:SS" time of day or offset, where that time ends.
+_FRACTION = re.compile(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})\.([0-9]+)(?=[+-]|\Z)")
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +61,8 @@ def parse_timestamp(value: Any, where: str) -> datetime:
     raw = value.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
+    if "." in raw:  # fromisoformat before 3.11 reads only 3- or 6-digit fractions
+        raw = _FRACTION.sub(lambda m: "." + m[1][:6].ljust(6, "0"), raw)
     try:
         parsed = datetime.fromisoformat(raw)
     except ValueError as exc:
@@ -308,10 +312,8 @@ def _require_list(value: Any, where: str) -> list:
     return value
 
 
-def _take(data: dict, key: str, where: str, *, optional: bool = False, default: Any = None) -> Any:
+def _take(data: dict, key: str, where: str) -> Any:
     if key not in data:
-        if optional:
-            return default
         raise SnapshotParseError(f"{where}: missing field '{key}'")
     return data[key]
 
@@ -325,6 +327,14 @@ def _check_keys(data: dict, allowed: Iterable[str], where: str) -> None:
 def _str_field(data: dict, key: str, where: str) -> str:
     value = _take(data, key, where)
     if not isinstance(value, str):
+        raise SnapshotParseError(f"{where}: field '{key}' must be a string, got {_typename(value)}")
+    return value
+
+
+def _optional_str(data: Any, key: str, where: str) -> str | None:
+    """``data[key]`` when it is a string, None when it is null or absent."""
+    value = _require_dict(data, where).get(key)
+    if value is not None and not isinstance(value, str):
         raise SnapshotParseError(f"{where}: field '{key}' must be a string, got {_typename(value)}")
     return value
 
@@ -363,6 +373,7 @@ def _event_codec(cls: type) -> tuple[dict, list, int]:
 
 _EVENT_FIELDS = {cls: _event_codec(cls) for cls in (Comment, Review, ReviewRequest, CommitEvent)}
 _PR_KEYS = frozenset(f.name for f in fields(PullRequest))
+_USER_KEYS = frozenset(f.name for f in fields(UserProfile))
 
 # The event lists of a pull request, in JSON key order.
 _EVENT_LISTS = (
@@ -404,14 +415,10 @@ def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
 
 def _decode_user(data: Any, where: str) -> UserProfile:
     data = _require_dict(data, where)
-    _check_keys(
-        data,
-        ("login", "followers", "orgs", "permission", "closure_history", "permission_unknown"),
-        where,
-    )
+    _check_keys(data, _USER_KEYS, where)
     login = _str_field(data, "login", where)
     closure: tuple[int, int] | None = None
-    raw_closure = _take(data, "closure_history", where, optional=True)
+    raw_closure = data.get("closure_history")
     if raw_closure is not None:
         raw_closure = _require_dict(raw_closure, f"{where}.closure_history")
         _check_keys(raw_closure, ("closed_count", "accepted_count"), f"{where}.closure_history")
@@ -419,7 +426,7 @@ def _decode_user(data: Any, where: str) -> UserProfile:
             _int_field(raw_closure, "closed_count", f"{where}.closure_history"),
             _int_field(raw_closure, "accepted_count", f"{where}.closure_history"),
         )
-    unknown = _take(data, "permission_unknown", where, optional=True, default=False)
+    unknown = data.get("permission_unknown", False)
     if not isinstance(unknown, bool):
         raise SnapshotParseError(f"{where}: field 'permission_unknown' must be a boolean")
     return UserProfile(
@@ -440,9 +447,7 @@ def _decode_pull(data: Any, index: int) -> PullRequest:
     where = f"PR {number}"
 
     closed_at = None if data.get("closed_at") is None else _time_field(data, "closed_at", where)
-    closer = data.get("closer")
-    if closer is not None and not isinstance(closer, str):
-        raise SnapshotParseError(f"{where}: field 'closer' must be a string or absent")
+    closer = _optional_str(data, "closer", where)
 
     labels = _string_list(data, "labels", where)
     if len(set(labels)) != len(labels):

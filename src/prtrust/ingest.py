@@ -49,9 +49,9 @@ from .corpus import (
     ReviewRequest,
     UserProfile,
     _int_field,
+    _optional_str,
     _require_dict,
     _str_field,
-    _typename,
     classify_contribution,
     discussion,
     format_timestamp,
@@ -186,12 +186,12 @@ class GitHubClient:
             headers["If-None-Match"] = etag
         return headers
 
-    def get(self, url: str) -> tuple[Any, datetime, str | None]:
+    def get(self, url: str) -> tuple[Any, str | None]:
         """GET one URL, serving from cache via ETag revalidation when possible.
 
-        Returns (payload, retrieved_at, next_page_url). retrieved_at is the
-        time the body was originally fetched, so cached responses replay
-        their recorded time.
+        Returns (payload, next_page_url). ``max_retrieved_at`` tracks the time
+        each body was originally fetched, so cached responses replay their
+        recorded time.
         """
         cached = self._read_cached(url)
         etag = cached["etag"] if cached else None
@@ -214,7 +214,7 @@ class GitHubClient:
 
             if status == 304 and cached is not None:
                 self._note_retrieved(cached["retrieved_at"], "cache_hits")
-                return cached["body"], cached["retrieved_at"], cached["link_next"]
+                return cached["body"], cached["link_next"]
 
             if status == 200:
                 retrieved_at = datetime.now(timezone.utc).replace(microsecond=0)
@@ -232,7 +232,7 @@ class GitHubClient:
                 }
                 self._write_cached(url, envelope)
                 self._note_retrieved(retrieved_at, "uncached")
-                return payload, retrieved_at, link_next
+                return payload, link_next
 
             if status == 404:
                 raise NotFoundError(f"not found: {url}")
@@ -269,7 +269,7 @@ class GitHubClient:
         items: list = []
         next_url: str | None = url
         while next_url:
-            payload, _, next_url = self.get(next_url)
+            payload, next_url = self.get(next_url)
             if not isinstance(payload, list):
                 raise FetchError(f"expected a JSON array from {url}")
             items.extend(payload)
@@ -344,17 +344,6 @@ def reconstruct_review_requests(timeline_events: list) -> list[ReviewRequest]:
         ReviewRequest(requestee=login, requested_at=at)
         for login, at in sorted(earliest.items(), key=lambda kv: (kv[1], kv[0]))
     ]
-
-
-def _optional_str(data: Any, key: str, where: str) -> str | None:
-    """``data[key]`` when it is a string, None when it is null or absent.
-
-    Raises SnapshotParseError naming ``where`` and the field otherwise.
-    """
-    value = _require_dict(data, where).get(key)
-    if value is not None and not isinstance(value, str):
-        raise SnapshotParseError(f"{where}: field '{key}' must be a string, got {_typename(value)}")
-    return value
 
 
 def _login(account: Any, default: str | None, where: str) -> str | None:
@@ -584,7 +573,7 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
 def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> UserProfile:
     encoded = quote(login, safe="")
     try:
-        profile_raw, _, _ = client.get(f"{API_ROOT}/users/{encoded}")
+        profile_raw, _ = client.get(f"{API_ROOT}/users/{encoded}")
         followers = int(profile_raw.get("followers") or 0)
     except NotFoundError:
         logger.warning("user '%s' no longer exists; recording an empty profile", login)
@@ -605,7 +594,7 @@ def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> User
     permission = "none"
     permission_unknown = False
     try:
-        perm_raw, _, _ = client.get(
+        perm_raw, _ = client.get(
             f"{API_ROOT}/repos/{owner}/{name}/collaborators/{encoded}/permission"
         )
         value = perm_raw.get("permission")

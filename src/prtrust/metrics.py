@@ -44,16 +44,19 @@ _NO_RECORD = ((), (0,))   # PullHistory.authored entry of a login with no decide
 
 @dataclass(frozen=True)
 class DimensionScore:
-    """One trust dimension's evidence and normalized score for one PR.
+    """One trust dimension's normalized score and evidence for one PR.
 
-    ``score`` is present (in [0, 1]) exactly when ``available`` is true;
+    ``score`` is in [0, 1], or None when the dimension is not available;
     ``evidence`` is a JSON-safe record whose keys are dimension-specific.
     """
 
-    dimension: str
-    available: bool
     score: float | None
     evidence: dict[str, Any]
+
+    @property
+    def available(self) -> bool:
+        """Whether the PR carries a usable signal for this dimension."""
+        return self.score is not None
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -120,8 +123,6 @@ def action_score(
 
     score = 0.5 * min(frequency / f_cap, 1.0) + 0.5 * (1.0 if revision_commits > 0 else 0.0)
     return DimensionScore(
-        dimension="action",
-        available=True,
         score=score,
         evidence={
             "comment_count": comment_count,
@@ -183,7 +184,7 @@ def commitment_score(pr: PullRequest) -> DimensionScore:
         "author_addressed": author_addressed,
     }
     if not requested_at and not change_requests:
-        return DimensionScore("commitment", False, None, evidence)
+        return DimensionScore(None, evidence)
 
     weighted: list[tuple[float, float]] = []
     if requested_at:
@@ -191,7 +192,7 @@ def commitment_score(pr: PullRequest) -> DimensionScore:
     if change_requests:
         weighted.append((0.3, 1.0 if author_addressed else 0.0))
     score = left_sum(w * v for w, v in weighted) / left_sum(w for w, _ in weighted)
-    return DimensionScore("commitment", True, score, evidence)
+    return DimensionScore(score, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +228,8 @@ def competence_score(
     c_perm = None if has_write is None else float(has_write)
 
     components = [c for c in (c_hist, c_follow, c_perm) if c is not None]
-    available = bool(components)
-    score = left_sum(components) / len(components) if available else None
     return DimensionScore(
-        dimension="competence",
-        available=available,
-        score=score,
+        score=left_sum(components) / len(components) if components else None,
         evidence={
             "prior_pr_count": prior_count,
             "prior_accepted": prior_accepted,
@@ -301,29 +298,23 @@ def institutional_score(
         "shared_logins": shared_logins,
     }
     if not counterparties or not author_orgs:
-        return DimensionScore("institutional", False, None, evidence)
-    return DimensionScore(
-        "institutional", True, len(shared_logins) / len(counterparties), evidence
-    )
+        return DimensionScore(None, evidence)
+    return DimensionScore(len(shared_logins) / len(counterparties), evidence)
 
 
 # ---------------------------------------------------------------------------
 # Personality-based trust: the closer's propensity to accept
 # ---------------------------------------------------------------------------
 
-def personality_propensity(login: str, snapshot: RepoSnapshot) -> float | None:
-    """Fraction of PRs this user closed that were accepted, or None.
+def personality_propensity(login: str, snapshot: RepoSnapshot) -> tuple[float | None, str]:
+    """Fraction of PRs this user closed that were accepted, or None, and its source.
 
-    Uses the profile's closure_history when present; otherwise counts the
-    PRs in this snapshot closed by the user, whatever their number: a
-    PR's own outcome, and those of PRs closed after it, count towards the
+    Uses the profile's closure_history when present (source
+    "closure_history"); otherwise counts the PRs in this snapshot closed
+    by the user, whatever their number (source "snapshot"): a PR's own
+    outcome, and those of PRs closed after it, count towards the
     propensity it is scored with. Absent when they closed nothing.
     """
-    propensity, _ = _propensity_with_source(login, snapshot)
-    return propensity
-
-
-def _propensity_with_source(login: str, snapshot: RepoSnapshot) -> tuple[float | None, str]:
     profile = _profile(snapshot, login)
     if profile.closure_history is not None:
         (closed, accepted), source = profile.closure_history, "closure_history"
@@ -343,12 +334,12 @@ def personality_score(pr: PullRequest, snapshot: RepoSnapshot) -> DimensionScore
     sources: dict[str, str] = {}
     closer_propensity: float | None = None
     if pr.closer is not None:
-        closer_propensity, source = _propensity_with_source(pr.closer, snapshot)
+        closer_propensity, source = personality_propensity(pr.closer, snapshot)
         sources[pr.closer] = source
 
     reviewer_propensities: dict[str, float | None] = {}
     for login in sorted({r.author for r in pr.reviews}):
-        propensity, source = _propensity_with_source(login, snapshot)
+        propensity, source = personality_propensity(login, snapshot)
         reviewer_propensities[login] = propensity
         sources[login] = source
 
@@ -359,11 +350,9 @@ def personality_score(pr: PullRequest, snapshot: RepoSnapshot) -> DimensionScore
         "propensity_sources": sources,
     }
     if closer_propensity is not None:
-        return DimensionScore("personality", True, closer_propensity, evidence)
+        return DimensionScore(closer_propensity, evidence)
     defined = [p for p in reviewer_propensities.values() if p is not None]
-    if defined:
-        return DimensionScore("personality", True, max(defined), evidence)
-    return DimensionScore("personality", False, None, evidence)
+    return DimensionScore(max(defined) if defined else None, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +495,6 @@ def transferred_detect(
         vouches.append({"comment_id": event.id, "pattern": pattern, "voucher": event.author})
 
     return DimensionScore(
-        dimension="transferred",
-        available=True,
         score=1.0 if vouches else 0.0,
         evidence={"vouches": vouches, "low_confidence": True},
     )

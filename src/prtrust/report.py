@@ -19,12 +19,7 @@ from .corpus import RepoSnapshot, format_timestamp, indented_json, parse_timesta
 from .errors import SnapshotParseError
 from .metrics import DIMENSIONS, DimensionScore, left_sum
 
-FORMATS = ("json", "csv", "markdown")
-
-CSV_COLUMNS = (
-    "pr_number", "outcome", "action", "commitment", "competence",
-    "institutional", "personality", "transferred", "overall", "coverage",
-)
+CSV_COLUMNS = ("pr_number", "outcome", *DIMENSIONS, "overall", "coverage")
 
 # The markdown summary's rows: (label, StratumSummary field).
 _SUMMARY_ROWS = (
@@ -119,26 +114,25 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
     }
 
 
+def _profile_from_dict(raw: dict) -> TrustProfile:
+    """A report profile; its ``available`` and ``coverage`` values must restate its scores."""
+    pr_number, outcome, dims = raw["pr_number"], raw["outcome"], raw["dimensions"]
+    stated, scores = [], {}
+    for d in DIMENSIONS:  # keys read in the order they are written
+        stated.append(dims[d]["available"])
+        scores[d] = DimensionScore(dims[d]["score"], dims[d]["evidence"])
+    profile = TrustProfile(pr_number, outcome, scores, raw["overall"])
+    if stated + [raw["coverage"]] != [s.available for s in scores.values()] + [profile.coverage]:
+        raise SnapshotParseError(
+            f"malformed report bundle: PR {pr_number}: 'available' or 'coverage' "
+            "disagrees with the scores"
+        )
+    return profile
+
+
 def bundle_from_dict(data: dict) -> ReportBundle:
     try:
-        profiles = tuple(
-            TrustProfile(
-                pr_number=raw["pr_number"],
-                outcome=raw["outcome"],
-                scores={
-                    d: DimensionScore(
-                        dimension=d,
-                        available=raw["dimensions"][d]["available"],
-                        score=raw["dimensions"][d]["score"],
-                        evidence=raw["dimensions"][d]["evidence"],
-                    )
-                    for d in DIMENSIONS
-                },
-                overall=raw["overall"],
-                coverage=raw["coverage"],
-            )
-            for raw in data["profiles"]
-        )
+        profiles = tuple(_profile_from_dict(raw) for raw in data["profiles"])
         summary = RepoSummary(
             accepted=StratumSummary(**data["summary"]["accepted"]),
             rejected=StratumSummary(**data["summary"]["rejected"]),
@@ -168,11 +162,8 @@ def csv_text(bundle: ReportBundle) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for profile in bundle.profiles:
         cells = [str(profile.pr_number), profile.outcome]
-        for dimension in DIMENSIONS:
-            score = profile.scores[dimension]
-            cells.append(format_score(score.score) if score.available else "")
-        cells.append(format_score(profile.overall))
-        cells.append(str(profile.coverage))
+        cells += [format_score(profile.scores[d].score) for d in DIMENSIONS]
+        cells += [format_score(profile.overall), str(profile.coverage)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -218,14 +209,12 @@ def json_text(bundle: ReportBundle) -> str:
     return indented_json(bundle_to_dict(bundle)) + "\n"
 
 
+_RENDERERS = {"json": json_text, "csv": csv_text, "markdown": markdown_summary}
+FORMATS = tuple(_RENDERERS)
+
+
 def emit(bundle: ReportBundle, format: str, path: str | Path) -> None:
     """Write the bundle to ``path`` in the requested format."""
-    if format == "json":
-        text = json_text(bundle)
-    elif format == "csv":
-        text = csv_text(bundle)
-    elif format == "markdown":
-        text = markdown_summary(bundle)
-    else:
+    if format not in FORMATS:
         raise ValueError(f"unknown report format '{format}' (expected one of {FORMATS})")
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    Path(path).write_text(_RENDERERS[format](bundle), encoding="utf-8", newline="\n")

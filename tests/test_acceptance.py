@@ -308,7 +308,7 @@ def test_acceptance_6_property_suite():
         for seed in range(3):
             shuffled = list(profiles)
             random.Random(seed).shuffle(shuffled)
-            assert summarize(shuffled, snap) == summary
+            assert summarize(shuffled) == summary
 
         # round-trip
         assert snapshot_from_dict(snapshot_to_dict(snap)) == snap

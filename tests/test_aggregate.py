@@ -29,11 +29,11 @@ UNIFORM = {d: 1 / 6 for d in
 
 
 def _score(dimension, value):
-    return DimensionScore(dimension, True, value, {})
+    return DimensionScore(value, {})
 
 
 def _absent(dimension):
-    return DimensionScore(dimension, False, None, {})
+    return DimensionScore(None, {})
 
 
 def test_combine_all_available_and_equal():
@@ -285,7 +285,7 @@ def test_summarize_single_pr():
 
 def test_summarize_rejects_empty_input(rich_snapshot):
     with pytest.raises(ValueError):
-        summarize([], rich_snapshot)
+        summarize([])
 
 
 def test_summarize_is_permutation_invariant(rich_snapshot):
@@ -293,7 +293,7 @@ def test_summarize_is_permutation_invariant(rich_snapshot):
     for seed in range(5):
         shuffled = list(profiles)
         random.Random(seed).shuffle(shuffled)
-        assert summarize(shuffled, rich_snapshot) == summary
+        assert summarize(shuffled) == summary
 
 
 def test_summarize_excludes_pending(rich_snapshot):

@@ -415,6 +415,18 @@ def test_second_event_is_located_by_its_index():
     )
 
 
+@pytest.mark.parametrize("closer, message", [
+    (7, "PR 4: field 'closer' must be a string, got int"),
+    (["boss"], "PR 4: field 'closer' must be a string, got list"),
+])
+def test_non_string_closer_carries_the_full_message(closer, message):
+    data = _base()
+    data["pulls"][0]["closer"] = closer
+    with pytest.raises(SnapshotParseError) as err:
+        snapshot_from_dict(data)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Validation errors: the whole message, and which violation is reported first
 # ---------------------------------------------------------------------------
@@ -707,12 +719,16 @@ def test_well_formed_events_skip_the_checked_readers(rich_dict, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _reference_parse_timestamp(value, where):
-    """The general-path parser: any offset, truncated to whole seconds."""
+    """The general-path parser: any offset, truncated to whole seconds. Like
+    parse_timestamp, it pads or cuts fractions to six digits first."""
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {type(value).__name__}")
     raw = value.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
+    if "." in raw:
+        raw = re.sub(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})\.([0-9]+)(?=[+-]|\Z)",
+                     lambda m: "." + m[1][:6].ljust(6, "0"), raw)
     try:
         parsed = datetime.fromisoformat(raw)
     except ValueError as exc:
@@ -772,6 +788,25 @@ def test_parse_timestamp_matches_the_general_path_on_utc_spellings(value):
         return parse_timestamp(text, f"{where}.issue_comments[0].created_at")
 
     assert _outcome(decode_event, value) == _outcome(parse_field, value)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("2022-01-01T00:00:00.5Z", "2022-01-01T00:00:00+00:00"),
+    ("2022-01-01T00:00:00.25+01:00", "2021-12-31T23:00:00+00:00"),
+    ("2022-01-01T00:00:00.1234+00:00", "2022-01-01T00:00:00+00:00"),
+    ("2022-01-01T23:59:59.9999999Z", "2022-01-01T23:59:59+00:00"),  # cut, not rounded
+    ("2022-01-01T01:00:00+01:00:00.5", "2021-12-31T23:59:59+00:00"),  # the offset's own fraction
+])
+def test_fractions_of_any_length_parse_alike_on_every_python(value, expected):
+    """fromisoformat before 3.11 reads only 3- or 6-digit fractions."""
+    assert parse_timestamp(value, "t").isoformat() == expected
+
+
+@pytest.mark.parametrize("value", ["2022-01-01T00:00:00.5.5Z", "2022-01-01T00:00:00.5.5"])
+def test_malformed_fractions_stay_invalid(value):
+    with pytest.raises(SnapshotParseError) as err:
+        parse_timestamp(value, "t")
+    assert str(err.value) == f"t: invalid timestamp {value!r}"
 
 
 @pytest.mark.parametrize("year", [1, 999])

@@ -492,7 +492,7 @@ def test_rate_limit_with_token_waits_until_reset():
     }
     sleeps = []
     client = GitHubClient(token="t0ken", session=FakeSession(routes), sleep=sleeps.append)
-    payload, _, _ = client.get(url)
+    payload, _ = client.get(url)
     assert payload == {"ok": True}
     assert sleeps == [30.0]
 
@@ -507,7 +507,7 @@ def test_server_errors_retry_then_succeed():
     sleeps = []
     session = FakeSession(routes)
     client = GitHubClient(session=session, sleep=sleeps.append)
-    payload, _, _ = client.get(url)
+    payload, _ = client.get(url)
     assert payload == {"ok": 1}
     assert sleeps == [0.5, 1.0]
 

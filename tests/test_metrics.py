@@ -318,13 +318,13 @@ def test_institutional_exact_two_of_four():
 def test_propensity_from_closure_history():
     users = [user("dev"), user("always", closure=(272, 272)), user("rarely", closure=(99, 10))]
     snap = build([pull(1, "dev", closer="always")], users)
-    assert personality_propensity("always", snap) == pytest.approx(1.0)
-    assert personality_propensity("rarely", snap) == pytest.approx(10 / 99)
+    assert personality_propensity("always", snap) == (pytest.approx(1.0), "closure_history")
+    assert personality_propensity("rarely", snap) == (pytest.approx(10 / 99), "closure_history")
 
 
 def test_propensity_absent_when_nothing_closed():
     snap = build([], [user("idle")])
-    assert personality_propensity("idle", snap) is None
+    assert personality_propensity("idle", snap) == (None, "snapshot")
 
 
 def test_propensity_snapshot_fallback():
@@ -333,7 +333,7 @@ def test_propensity_snapshot_fallback():
              pull(2, "dev", state="closed_unmerged", closer="boss"),
              pull(3, "dev", state="merged", closer="boss")]
     snap = build(pulls, users)
-    assert personality_propensity("boss", snap) == pytest.approx(2 / 3)
+    assert personality_propensity("boss", snap) == (pytest.approx(2 / 3), "snapshot")
 
 
 def test_snapshot_propensity_counts_the_scored_pr():

@@ -85,9 +85,8 @@ def test_csv_row_literal_for_single_perfect_pr():
     profile = TrustProfile(
         pr_number=1,
         outcome="accepted",
-        scores={d: DimensionScore(d, True, 1.0, {}) for d in dims},
+        scores={d: DimensionScore(1.0, {}) for d in dims},
         overall=1.0,
-        coverage=6,
     )
     stratum = StratumSummary(1, 1.0, 1, 1, 0, 1, 1, 1)
     empty = StratumSummary(0, None, 0, 0, 0, 0, 0, 0)
@@ -189,6 +188,38 @@ def test_load_bundle_rejects_a_profile_without_available_or_coverage(
     assert str(err.value) == f"malformed report bundle: KeyError('{missing}')"
 
 
+def _flip_first_unavailable(data):
+    for raw in data["profiles"]:
+        for score in raw["dimensions"].values():
+            if not score["available"]:
+                score["available"] = True
+                return raw["pr_number"]
+
+
+def _flip_action(data):
+    data["profiles"][0]["dimensions"]["action"]["available"] = False
+    return data["profiles"][0]["pr_number"]
+
+
+def _miscount(data):
+    data["profiles"][-1]["coverage"] -= 1
+    return data["profiles"][-1]["pr_number"]
+
+
+@pytest.mark.parametrize("edit", [_flip_first_unavailable, _flip_action, _miscount])
+def test_load_bundle_rejects_available_or_coverage_that_disagree_with_the_scores(
+    rich_bundle, tmp_path, edit
+):
+    numbers = []
+    path = _edited_report(rich_bundle, tmp_path, lambda data: numbers.append(edit(data)))
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(path)
+    assert str(err.value) == (
+        f"malformed report bundle: PR {numbers[0]}: 'available' or 'coverage' "
+        "disagrees with the scores"
+    )
+
+
 def test_config_echo_reproduces_run(rich_snapshot, tmp_path):
     config = AnalysisConfig(f_cap=2.0, exclude_bots=False)
     bundle = _bundle(rich_snapshot, config)
@@ -207,6 +238,14 @@ def test_config_echo_reproduces_run(rich_snapshot, tmp_path):
 def test_emit_rejects_unknown_format(rich_bundle, tmp_path):
     with pytest.raises(ValueError):
         emit(rich_bundle, "xml", tmp_path / "r.xml")
+
+
+def test_emit_names_the_formats_it_knows(rich_bundle, tmp_path):
+    with pytest.raises(ValueError) as err:
+        emit(rich_bundle, "xml", tmp_path / "r.xml")
+    assert str(err.value) == (
+        "unknown report format 'xml' (expected one of ('json', 'csv', 'markdown'))"
+    )
 
 
 def test_emit_unwritable_path(rich_bundle, tmp_path):
