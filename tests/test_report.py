@@ -168,12 +168,13 @@ def test_json_key_order_is_stable(rich_bundle):
 
 
 def _edited_report(bundle, tmp_path, edit):
-    """Write ``bundle`` as a JSON report after ``edit`` changes its dict form."""
+    """Write ``bundle`` as a JSON report after ``edit`` changes its dict form;
+    return the path and what ``edit`` returned."""
     data = json.loads(json_text(bundle))
-    edit(data)
+    edited = edit(data)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    return path
+    return path, edited
 
 
 @pytest.mark.parametrize("edit, missing", [
@@ -184,7 +185,7 @@ def test_load_bundle_rejects_a_profile_without_available_or_coverage(
     rich_bundle, tmp_path, edit, missing
 ):
     with pytest.raises(SnapshotParseError) as err:
-        load_bundle(_edited_report(rich_bundle, tmp_path, edit))
+        load_bundle(_edited_report(rich_bundle, tmp_path, edit)[0])
     assert str(err.value) == f"malformed report bundle: KeyError('{missing}')"
 
 
@@ -210,12 +211,11 @@ def _miscount(data):
 def test_load_bundle_rejects_available_or_coverage_that_disagree_with_the_scores(
     rich_bundle, tmp_path, edit
 ):
-    numbers = []
-    path = _edited_report(rich_bundle, tmp_path, lambda data: numbers.append(edit(data)))
+    path, number = _edited_report(rich_bundle, tmp_path, edit)
     with pytest.raises(SnapshotParseError) as err:
         load_bundle(path)
     assert str(err.value) == (
-        f"malformed report bundle: PR {numbers[0]}: 'available' or 'coverage' "
+        f"malformed report bundle: PR {number}: 'available' or 'coverage' "
         "disagrees with the scores"
     )
 
