@@ -1,8 +1,8 @@
 """Per-PR scores for the six interpersonal-trust dimensions.
 
 Each metric is a pure function of an immutable snapshot and returns a
-DimensionScore: raw evidence plus a normalized value in [0, 1], or an
-explicit "not available" when the PR carries no usable signal for that
+DimensionScore: raw evidence plus a normalized value in [0, 1], or None
+("not available") when the PR carries no usable signal for that
 dimension. Per-PR scoring is reentrant and may run concurrently.
 
 Bot accounts (logins ending in "[bot]") are excluded from comment and
