@@ -4,7 +4,9 @@ Fetches PR metadata, comments, reviews, commits, changed files, and
 timeline events per pull request, plus followers, org memberships, and
 repo permission per distinct user, with bounded parallelism and a
 URL+ETag response cache. Review requests are reconstructed from timeline
-events so reviewers who already responded are still counted.
+events so reviewers who already responded are still counted. The calling
+thread is the first fetch worker; with concurrency 1 it fetches everything
+itself and starts no thread.
 
 Cache layout: one file per response, {cache_dir}/{sha256(url)}.json,
 holding {"url", "retrieved_at", "link_next", "etag", "body"}. Entries are
@@ -28,14 +30,11 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator
 from urllib.parse import quote
-
-import requests
 
 from . import __version__
 from .corpus import (
@@ -51,7 +50,10 @@ from .corpus import (
     _int_field,
     _optional_str,
     _require_dict,
+    _require_list,
     _str_field,
+    _take,
+    _typename,
     classify_contribution,
     discussion,
     format_timestamp,
@@ -117,10 +119,14 @@ class GitHubClient:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._token = token
-        self._cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self._cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         if self._cache_dir is not None:
-            self._cache_dir.mkdir(parents=True, exist_ok=True)
-        self._session = session if session is not None else requests.Session()
+            os.makedirs(self._cache_dir, exist_ok=True)
+        if session is None:
+            import requests  # only a fetch over the network needs it
+
+            session = requests.Session()
+        self._session = session
         self._sleep = sleep
         self._lock = threading.Lock()
         self.max_retrieved_at: datetime | None = None
@@ -128,11 +134,11 @@ class GitHubClient:
 
     # -- cache ------------------------------------------------------------
 
-    def _cache_path(self, url: str) -> Path | None:
+    def _cache_path(self, url: str) -> str | None:
         if self._cache_dir is None:
             return None
         digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
-        return self._cache_dir / f"{digest}.json"
+        return os.path.join(self._cache_dir, digest + ".json")
 
     def _read_cached(self, url: str) -> dict | None:
         """The cached envelope with ``retrieved_at`` parsed, or None on a miss."""
@@ -140,7 +146,8 @@ class GitHubClient:
         if path is None:
             return None
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, "rb") as handle:
+                envelope = json.load(handle)
         except (OSError, ValueError, RecursionError):
             return None
         if not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS):
@@ -155,7 +162,8 @@ class GitHubClient:
         path = self._cache_path(url)
         if path is None or envelope["etag"] is None:
             return
-        fd, tmp = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=self._cache_dir)
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path).removesuffix("json"),
+                                    suffix=".tmp", dir=self._cache_dir)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(envelope, ensure_ascii=False))
@@ -203,7 +211,7 @@ class GitHubClient:
                 with self._lock:
                     self.stats["http_requests"] += 1
                 response = self._session.get(url, headers=self._headers(etag), timeout=_TIMEOUT)
-            except requests.RequestException as exc:
+            except _network_error() as exc:
                 if retries >= _MAX_RETRIES:
                     raise FetchError(f"network error fetching {url}: {exc}") from exc
                 self._sleep(0.5 * 2**retries)
@@ -276,6 +284,13 @@ class GitHubClient:
             if stop_after is not None and len(items) >= stop_after:
                 break
         return items
+
+
+def _network_error() -> type[Exception]:
+    """The base class of ``requests``' network errors, imported when one is caught."""
+    import requests
+
+    return requests.RequestException
 
 
 def _parse_next_link(header: str | None) -> str | None:
@@ -351,6 +366,16 @@ def _login(account: Any, default: str | None, where: str) -> str | None:
     if account is None:
         return default
     return _optional_str(account, "login", where) or default
+
+
+def _object_field(data: dict, key: str, where: str) -> dict:
+    """``data[key]`` when it is an object, an empty one when it is null or absent."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SnapshotParseError(f"{where}: field '{key}' must be an object, got {_typename(value)}")
+    return value
 
 
 def _closer_from_timeline(timeline_events: list, merged: bool) -> str | None:
@@ -453,37 +478,63 @@ def fetch_snapshot(
 
 
 def _run_bounded(tasks: list, concurrency: int, consume: Callable[[Any], None]) -> None:
-    """Run callables on a bounded pool; the first failure cancels the rest.
+    """Run callables, at most ``concurrency`` at a time; the first failure stops the rest.
 
-    Completed results are consumed (on the calling thread) as they finish,
-    so a later failure still leaves the finished work recorded; the final
-    assembly sorts, keeping results independent of completion order.
+    The calling thread is the first worker and starts
+    ``min(concurrency, len(tasks)) - 1`` helper threads, so with one worker
+    no thread is started. Each worker takes the next task from one shared
+    iterator and consumes its result under one lock, so a later failure
+    still leaves the finished work recorded; once a failure is recorded no
+    worker starts another task. The first failure is re-raised after every
+    helper has joined. The final assembly sorts, keeping results
+    independent of completion order.
     """
-    if not tasks:
-        return
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = [pool.submit(task) for task in tasks]
+    pending = iter(tasks)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def work() -> None:
         try:
-            for future in as_completed(futures):
-                consume(future.result())
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+            while True:
+                with lock:
+                    task = None if failures else next(pending, None)
+                if task is None:
+                    return
+                result = task()
+                with lock:
+                    consume(result)
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(min(concurrency, len(tasks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    try:
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:  # interrupted while waiting: the helpers start no new task
+        with lock:
+            failures.append(exc)
+        raise
+    if failures:
+        raise failures[0]
 
 
-def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> PullRequest:
-    number = item["number"]
+def _fetch_pull(client: GitHubClient, owner: str, name: str, item: Any) -> PullRequest:
+    number = _int_field(_require_dict(item, "PR listing item"), "number", "PR listing item")
     base = f"{API_ROOT}/repos/{owner}/{name}"
-    author = _login(item.get("user"), _GHOST, f"PR {number} user")
-    created_at = parse_timestamp(item["created_at"], f"PR {number} created_at")
+    where = f"PR {number}"
+    author = _login(item.get("user"), _GHOST, f"{where} user")
+    created_at = parse_timestamp(_take(item, "created_at", where), f"{where} created_at")
     merged = item.get("merged_at") is not None
     if item.get("state") == "open":
         state = "open"
         closed_at = None
     else:
         state = "merged" if merged else "closed_unmerged"
-        closed_at = parse_timestamp(item["closed_at"], f"PR {number} closed_at")
+        closed_at = parse_timestamp(_take(item, "closed_at", where), f"{where} closed_at")
 
     reviews_raw = client.get_paginated(f"{base}/pulls/{number}/reviews?per_page={_PAGE_SIZE}")
     review_comments_raw = client.get_paginated(f"{base}/pulls/{number}/comments?per_page={_PAGE_SIZE}")
@@ -493,50 +544,53 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
     timeline = client.get_paginated(f"{base}/issues/{number}/timeline?per_page={_PAGE_SIZE}")
 
     reviews = []
+    where = f"PR {number} review"
     for raw in reviews_raw:
-        verdict = _VERDICTS.get(raw.get("state", ""))
-        if verdict is None or raw.get("submitted_at") is None:
+        verdict = _VERDICTS.get(_optional_str(raw, "state", where) or "")
+        submitted_at = raw.get("submitted_at")
+        if verdict is None or submitted_at is None:
             continue  # pending or exotic review states carry no signal
         reviews.append(
             Review(
-                id=_int_field(raw, "id", f"PR {number} review"),
-                author=_login(raw.get("user"), _GHOST, f"PR {number} review"),
-                submitted_at=parse_timestamp(raw["submitted_at"], f"PR {number} review"),
+                id=_int_field(raw, "id", where),
+                author=_login(raw.get("user"), _GHOST, where),
+                submitted_at=parse_timestamp(submitted_at, where),
                 verdict=verdict,
-                body=_optional_str(raw, "body", f"PR {number} review") or "",
+                body=_optional_str(raw, "body", where) or "",
             )
         )
     reviews.sort(key=lambda r: (r.submitted_at, r.id))
 
     def decode_comments(raw_list: list, what: str) -> list[Comment]:
+        where = f"PR {number} {what}"
         out = [
             Comment(
-                id=_int_field(raw, "id", f"PR {number} {what}"),
-                author=_login(raw.get("user"), _GHOST, f"PR {number} {what}"),
-                created_at=parse_timestamp(raw["created_at"], f"PR {number} {what}"),
-                body=_optional_str(raw, "body", f"PR {number} {what}") or "",
+                id=_int_field(raw, "id", where),
+                author=_login(raw.get("user"), _GHOST, where),
+                created_at=parse_timestamp(_take(raw, "created_at", where), where),
+                body=_optional_str(raw, "body", where) or "",
             )
-            for raw in raw_list
+            for raw in (_require_dict(item, where) for item in raw_list)
         ]
         out.sort(key=lambda c: (c.created_at, c.id))
         return out
 
     commits = []
+    where = f"PR {number} commit"
     for raw in commits_raw:
-        commit_info = raw.get("commit") or {}
-        when = (commit_info.get("committer") or {}).get("date") or (
-            commit_info.get("author") or {}
-        ).get("date")
+        commit_info = _object_field(_require_dict(raw, where), "commit", where)
+        when = (_object_field(commit_info, "committer", where).get("date")
+                or _object_field(commit_info, "author", where).get("date"))
         if when is None:
             continue
-        committed_at = parse_timestamp(when, f"PR {number} commit")
+        committed_at = parse_timestamp(when, where)
         # Branch commits regularly predate the PR; clamp into its window.
         if committed_at < created_at:
             committed_at = created_at
         commits.append(
             CommitEvent(
-                sha=_str_field(raw, "sha", f"PR {number} commit"),
-                author=_login(raw.get("author"), author, f"PR {number} commit"),
+                sha=_str_field(raw, "sha", where),
+                author=_login(raw.get("author"), author, where),
                 committed_at=committed_at,
             )
         )
@@ -549,9 +603,13 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
     if state != "open":
         closer = _closer_from_timeline(timeline, merged) or _GHOST
 
-    files = sorted(raw["filename"] for raw in files_raw)
+    where = f"PR {number} file"
+    files = sorted(_str_field(_require_dict(raw, where), "filename", where) for raw in files_raw)
     label_where = f"PR {number} label"
-    labels_raw = [_require_dict(label, label_where) for label in item.get("labels") or []]
+    labels_raw = [
+        _require_dict(label, label_where)
+        for label in _require_list(item.get("labels") or [], f"PR {number} labels")
+    ]
     return PullRequest(
         number=number,
         author=author,
@@ -572,9 +630,10 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: dict) -> Pull
 
 def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> UserProfile:
     encoded = quote(login, safe="")
+    where = f"user '{login}'"
     try:
         profile_raw, _ = client.get(f"{API_ROOT}/users/{encoded}")
-        followers = int(profile_raw.get("followers") or 0)
+        followers = _int_field(_require_dict(profile_raw, where), "followers", where)
     except NotFoundError:
         logger.warning("user '%s' no longer exists; recording an empty profile", login)
         return UserProfile(
@@ -597,7 +656,7 @@ def _fetch_user(client: GitHubClient, owner: str, name: str, login: str) -> User
         perm_raw, _ = client.get(
             f"{API_ROOT}/repos/{owner}/{name}/collaborators/{encoded}/permission"
         )
-        value = perm_raw.get("permission")
+        value = _require_dict(perm_raw, f"{where} permission").get("permission")
         permission = value if value in PERMISSIONS else "none"
     except NotFoundError:
         permission = "none"  # not a collaborator

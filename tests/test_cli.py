@@ -211,3 +211,27 @@ def test_non_utf8_config_or_lexicon_exits_1_naming_the_file(name, snapshot_file,
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert f"cannot read {name} file {bad}" in result.stderr
+
+
+_WITHOUT_REQUESTS = """
+import json, sys
+sys.modules["requests"] = None  # any import of requests now raises ImportError
+import prtrust, prtrust.cli
+snapshot = sys.argv[1]
+codes = [
+    prtrust.cli.run(["sample", "--in", snapshot, "--n", "10", "--accept-ratio", "0.75",
+                     "--seed", "42", "--out", "sampled.json"]),
+    prtrust.cli.run(["analyze", "--in", snapshot, "--out", "report.json", "--format", "json"]),
+    prtrust.cli.run(["summary", "--in", "report.json"]),
+]
+print(json.dumps(codes))
+"""
+
+
+def test_offline_commands_run_without_requests(snapshot_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + sys.path))
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_REQUESTS, str(snapshot_file)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "# Trust summary: acme/widget" in result.stdout
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, 0, 0]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MUTANTS, json_paths, replace_at
+from prtrust import ingest
 from prtrust import (
     AuthError,
     FetchError,
@@ -471,6 +472,10 @@ def test_single_field_mutation_raises_only_typed_errors(path, value):
     replace_at(routes, path, value)
     try:
         snap = fetch_snapshot(_plan(), session=FakeSession(routes))
+    except PartialFetchError as exc:
+        # the wrapped failure is typed too, never a bare KeyError or AttributeError
+        assert isinstance(exc.__cause__, (SnapshotError, FetchError)), repr(exc.__cause__)
+        return
     except (FetchError, SnapshotError):
         return
     # what fetch returns, its own loader must accept
@@ -568,6 +573,152 @@ def test_concurrency_does_not_change_the_snapshot():
     parallel = fetch_snapshot(_plan(concurrency=4), session=FakeSession(demo_routes()))
     assert serial.pulls == parallel.pulls
     assert serial.users == parallel.users
+
+
+# ---------------------------------------------------------------------------
+# the bounded runner
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Counts the threads started while the test runs."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    return started
+
+
+@pytest.fixture
+def fetch_calls(monkeypatch):
+    """Records each PR and user fetch: (kind, key, thread, outcome)."""
+    calls = []
+    lock = threading.Lock()
+
+    def recording(kind, fetch):
+        def wrapper(client, owner, name, key):
+            label = key if isinstance(key, str) else key["number"]
+            try:
+                result = fetch(client, owner, name, key)
+            except Exception as exc:
+                with lock:
+                    calls.append((kind, label, threading.get_ident(), exc))
+                raise
+            with lock:
+                calls.append((kind, label, threading.get_ident(), result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ingest, "_fetch_pull", recording("pull", ingest._fetch_pull))
+    monkeypatch.setattr(ingest, "_fetch_user", recording("user", ingest._fetch_user))
+    return calls
+
+
+def many_routes(count):
+    """``count`` closed PRs by hana, each closed by mona, listed on one page."""
+    routes = {LIST_CLOSED: {
+        "payload": [_pr_item(n, "2022-01-01T00:00:00Z", closed="2022-01-02T00:00:00Z")
+                    for n in range(count, 0, -1)],
+        "etag": 'W/"many"',
+    }}
+    for n in range(1, count + 1):
+        routes.update(_sub_routes(
+            n, files=[{"filename": f"src/{n}.py"}],
+            timeline=[{"event": "closed", "actor": {"login": "mona"},
+                       "created_at": "2022-01-02T00:00:00Z"}],
+        ))
+    routes.update(_user_routes("hana", 10, (), "write", 1))
+    routes.update(_user_routes("mona", 50, (), "admin", 2))
+    return routes
+
+
+def test_one_worker_fetches_everything_on_the_calling_thread(fetch_calls, thread_starts):
+    snap = fetch_snapshot(_plan(), session=FakeSession(demo_routes()))
+    assert len(snap.pulls) == 3 and len(snap.users) == 4
+    assert [(kind, key) for kind, key, _, _ in fetch_calls] == [
+        ("pull", 3), ("pull", 2), ("pull", 1),
+        ("user", "gabe"), ("user", "hana"), ("user", "ida"), ("user", "mona"),
+    ]
+    assert {thread for _, _, thread, _ in fetch_calls} == {threading.get_ident()}
+    assert thread_starts == []
+
+
+def test_one_worker_starts_no_task_after_a_failure(fetch_calls, thread_starts):
+    routes = demo_routes()
+    routes[f"{REPO}/pulls/2/files?per_page=100"]["payload"] = [{"filename": 7}]
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(), session=FakeSession(routes))
+    assert [key for _, key, _, _ in fetch_calls] == [3, 2]  # PR 1 never started
+    assert err.value.completed == frozenset({3})
+    assert str(err.value) == (
+        "fetch aborted after 1 of 3 PRs: PR 2 file: field 'filename' must be a string, got int"
+    )
+    assert thread_starts == []
+
+
+def test_a_failure_keeps_every_finished_pr_and_chains_itself(fetch_calls):
+    routes = many_routes(12)
+    routes[f"{REPO}/pulls/5/files?per_page=100"]["payload"] = [{"filename": 7}]
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(max_pulls=12, concurrency=4), session=FakeSession(routes))
+    finished = {key for _, key, _, outcome in fetch_calls if not isinstance(outcome, Exception)}
+    failures = [outcome for _, _, _, outcome in fetch_calls if isinstance(outcome, Exception)]
+    assert err.value.completed == frozenset(finished)
+    assert len(failures) == 1 and err.value.__cause__ is failures[0]
+    assert "PR 5 file: field 'filename'" in str(err.value)
+
+
+class _InterruptingSession(FakeSession):
+    def get(self, url, headers=None, timeout=None):
+        if url == f"{REPO}/pulls/2/reviews?per_page=100":
+            raise KeyboardInterrupt
+        return super().get(url, headers, timeout)
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_an_interrupt_is_not_wrapped_and_leaves_no_thread(concurrency):
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        fetch_snapshot(_plan(max_pulls=12, concurrency=concurrency),
+                       session=_InterruptingSession(many_routes(12)))
+    assert threading.active_count() == before
+
+
+def test_more_workers_than_tasks_start_one_helper_fewer_than_tasks(thread_starts):
+    results = []
+    ingest._run_bounded([lambda i=i: i for i in range(3)], 10, results.append)
+    assert sorted(results) == [0, 1, 2]
+    assert len(thread_starts) <= 2
+    ingest._run_bounded([], 10, results.append)
+    assert len(thread_starts) <= 2
+
+
+def test_many_workers_run_each_task_once_and_consume_under_one_lock():
+    consumed = []
+    count = {"n": 0}
+
+    def consume(result):
+        count["n"] += 1  # read-modify-write: a lost update shows without the runner's lock
+        consumed.append(result)
+
+    def run():
+        ingest._run_bounded([lambda i=i: i for i in range(500)], 8, consume)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(consumed) == list(range(500))
+    assert count["n"] == 500
 
 
 # ---------------------------------------------------------------------------
