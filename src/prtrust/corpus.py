@@ -11,15 +11,19 @@ Snapshot file format: a single UTF-8 JSON document
      "users": [UserProfile...],
      "pulls": [PullRequest...]}
 
-with snake_case field names and timestamps as ISO-8601 UTC strings
+with snake_case field names and timestamps as UTC strings
 ("2022-01-01T00:00:00Z"). All timestamps are stored at second precision;
-event ordering ties are broken by event id.
+event ordering ties are broken by event id. On every Python, a timestamp is
+read in one grammar, the RFC 3339 profile GitHub writes: YYYY-MM-DDTHH:MM:SS,
+an optional "." and digits (truncated), then "Z", "z" or +HH:MM/-HH:MM with
+minutes 00-59, surrounding whitespace ignored; other spellings are invalid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -41,8 +45,10 @@ PERMISSIONS = ("admin", "write", "read", "none")
 DOC_EXTENSIONS = (".md", ".rst", ".txt", ".adoc")
 DOC_SEGMENTS = ("docs", "doc")
 
-# The fraction of an "HH:MM:SS" time of day or offset, where that time ends.
-_FRACTION = re.compile(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})\.([0-9]+)(?=[+-]|\Z)")
+# The timestamp grammar of the module docstring, and the spelling save_snapshot writes.
+_DATE_TIME = r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+_TIMESTAMP = re.compile(rf"({_DATE_TIME})(?:\.[0-9]+)?([Zz]|[+-][0-9]{{2}}:[0-5][0-9])?", re.ASCII)
+_CANONICAL = re.compile(_DATE_TIME + "Z", re.ASCII).fullmatch
 
 
 # ---------------------------------------------------------------------------
@@ -50,29 +56,22 @@ _FRACTION = re.compile(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})\.([0-9]+)(?=[+-]|\Z)")
 # ---------------------------------------------------------------------------
 
 def parse_timestamp(value: Any, where: str) -> datetime:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime (second precision).
-
-    Accepts a trailing "Z" or an explicit offset; naive timestamps, and
-    those whose UTC instant falls outside years 1-9999, are rejected.
-    Sub-second precision is truncated.
-    """
+    """Parse a timestamp of the module's grammar into an aware UTC datetime (second
+    precision); one with no offset, or whose UTC instant leaves years 1-9999, is rejected."""
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
-    raw = value.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    if "." in raw:  # fromisoformat before 3.11 reads only 3- or 6-digit fractions
-        raw = _FRACTION.sub(lambda m: "." + m[1][:6].ljust(6, "0"), raw)
+    match = _TIMESTAMP.fullmatch(value.strip())
+    if match is None:
+        raise SnapshotParseError(f"{where}: invalid timestamp {value!r}")
+    moment, offset = match.groups()
     try:
-        parsed = datetime.fromisoformat(raw)
+        parsed = datetime.fromisoformat(moment + ("+00:00" if offset in ("Z", "z") else offset or ""))
     except ValueError as exc:
         raise SnapshotParseError(f"{where}: invalid timestamp {value!r}") from exc
-    if parsed.tzinfo is timezone.utc and not parsed.microsecond:
-        return parsed  # already canonical: "+00:00" and "Z" parse to the utc singleton
     if parsed.tzinfo is None:
         raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
     try:
-        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+        return parsed.astimezone(timezone.utc)  # returns a "Z" or "+00:00" value as it is
     except OverflowError as exc:
         raise SnapshotParseError(f"{where}: timestamp {value!r} is out of range") from exc
 
@@ -392,17 +391,16 @@ def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
         # The fast path, with no helper call per event: exact keys (in any order), JSON types,
-        # and a "Z" timestamp, parsed as parse_timestamp's early return for a utc-singleton
-        # result with no microseconds gives it back.
+        # and a timestamp in the canonical "YYYY-MM-DDTHH:MM:SSZ" spelling, which
+        # parse_timestamp reads to the same value; a date that does not exist falls through.
         if type(raw) is dict and raw.keys() == keys:
             values = list(take(raw))
-            if list(map(type, values)) == types and values[stamp].endswith("Z"):
+            if list(map(type, values)) == types and _CANONICAL(values[stamp]):
                 try:
-                    parsed = datetime.fromisoformat(values[stamp][:-1] + "+00:00")
+                    values[stamp] = datetime.fromisoformat(values[stamp][:-1] + "+00:00")
                 except ValueError:
-                    parsed = None
-                if parsed is not None and parsed.tzinfo is timezone.utc and not parsed.microsecond:
-                    values[stamp] = parsed
+                    pass
+                else:
                     events.append(cls(*values))
                     continue
         # Another spelling, or something is wrong: the checked readers read it or name the fault.
@@ -418,14 +416,11 @@ def _decode_user(data: Any, where: str) -> UserProfile:
     _check_keys(data, _USER_KEYS, where)
     login = _str_field(data, "login", where)
     closure: tuple[int, int] | None = None
-    raw_closure = data.get("closure_history")
-    if raw_closure is not None:
-        raw_closure = _require_dict(raw_closure, f"{where}.closure_history")
-        _check_keys(raw_closure, ("closed_count", "accepted_count"), f"{where}.closure_history")
-        closure = (
-            _int_field(raw_closure, "closed_count", f"{where}.closure_history"),
-            _int_field(raw_closure, "accepted_count", f"{where}.closure_history"),
-        )
+    if data.get("closure_history") is not None:
+        at = f"{where}.closure_history"
+        counts = _require_dict(data["closure_history"], at)
+        _check_keys(counts, ("closed_count", "accepted_count"), at)
+        closure = (_int_field(counts, "closed_count", at), _int_field(counts, "accepted_count", at))
     unknown = data.get("permission_unknown", False)
     if not isinstance(unknown, bool):
         raise SnapshotParseError(f"{where}: field 'permission_unknown' must be a boolean")
@@ -738,7 +733,20 @@ def indented_json(value: Any, newline: str = "\n") -> str:
     return json.dumps(value)  # empty containers, NaN and infinities, or json's own TypeError
 
 
+def write_whole(path: str | Path, text: str, mode: int = 0o666) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a new file beside it (``mode`` less the
+    umask), renamed over it; on any failure an earlier file stays as it was, and no new one."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_snapshot(snapshot: RepoSnapshot, path: str | Path) -> None:
     """Write a snapshot file; the output reloads to a structurally equal value."""
-    text = indented_json(snapshot_to_dict(snapshot)) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    write_whole(path, indented_json(snapshot_to_dict(snapshot)) + "\n")

@@ -27,7 +27,6 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -59,6 +58,7 @@ from .corpus import (
     format_timestamp,
     parse_timestamp,
     validate,
+    write_whole,
 )
 from .errors import (
     AuthError,
@@ -162,15 +162,7 @@ class GitHubClient:
         path = self._cache_path(url)
         if path is None or envelope["etag"] is None:
             return
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path).removesuffix("json"),
-                                    suffix=".tmp", dir=self._cache_dir)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(envelope, ensure_ascii=False))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        write_whole(path, json.dumps(envelope, ensure_ascii=False), mode=0o600)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -336,23 +328,24 @@ def _seconds_until(reset_at: datetime | None, headers: Any) -> float:
 # Timeline reconstruction
 # ---------------------------------------------------------------------------
 
-def reconstruct_review_requests(timeline_events: list) -> list[ReviewRequest]:
+def reconstruct_review_requests(timeline_events: list, where: str = "timeline") -> list[ReviewRequest]:
     """Rebuild review-request events from a PR timeline.
 
     Emits one request per requestee at their earliest request time. A
     later request-removed event does not erase the request (the ask still
     happened); duplicate requests keep the earliest timestamp. Events of
     unknown kind, and team requests without a reviewer login, are ignored.
+    Errors are located as ``where[i]``, the index of the event in the timeline.
     """
     earliest: dict[str, datetime] = {}
-    for event in timeline_events:
+    for i, event in enumerate(timeline_events):
         if not isinstance(event, dict) or event.get("event") != "review_requested":
             continue
-        login = _login(event.get("requested_reviewer"), None, "timeline event")
+        login = _login(event.get("requested_reviewer"), None, f"{where}[{i}] requested_reviewer")
         raw_time = event.get("created_at")
         if not login or not raw_time:
             continue
-        at = parse_timestamp(raw_time, "timeline event")
+        at = parse_timestamp(raw_time, f"{where}[{i}] created_at")
         if login not in earliest or at < earliest[login]:
             earliest[login] = at
     return [
@@ -378,13 +371,13 @@ def _object_field(data: dict, key: str, where: str) -> dict:
     return value
 
 
-def _closer_from_timeline(timeline_events: list, merged: bool) -> str | None:
+def _closer_from_timeline(timeline_events: list, merged: bool, where: str) -> str | None:
     closed_actor = None
-    for event in timeline_events:
+    for i, event in enumerate(timeline_events):
         if not isinstance(event, dict):
             continue
         kind = event.get("event")
-        actor = _login(event.get("actor"), _GHOST, "timeline event")
+        actor = _login(event.get("actor"), _GHOST, f"{where}[{i}] actor")
         if kind == "merged" and merged:
             return actor
         if kind == "closed":
@@ -596,12 +589,11 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: Any) -> PullR
         )
     commits.sort(key=lambda c: (c.committed_at, c.sha))
 
-    requests_list = [
-        r for r in reconstruct_review_requests(timeline) if r.requestee != author
-    ]
+    where = f"PR {number} timeline"
+    requests_list = [r for r in reconstruct_review_requests(timeline, where) if r.requestee != author]
     closer = None
     if state != "open":
-        closer = _closer_from_timeline(timeline, merged) or _GHOST
+        closer = _closer_from_timeline(timeline, merged, where) or _GHOST
 
     where = f"PR {number} file"
     files = sorted(_str_field(_require_dict(raw, where), "filename", where) for raw in files_raw)

@@ -15,7 +15,7 @@ from typing import Any
 
 from . import __version__
 from .aggregate import RepoSummary, StratumSummary, TrustProfile
-from .corpus import RepoSnapshot, format_timestamp, indented_json, parse_timestamp, read_json
+from .corpus import RepoSnapshot, format_timestamp, indented_json, parse_timestamp, read_json, write_whole
 from .errors import SnapshotParseError
 from .metrics import DIMENSIONS, DimensionScore, left_sum
 
@@ -217,4 +217,4 @@ def emit(bundle: ReportBundle, format: str, path: str | Path) -> None:
     """Write the bundle to ``path`` in the requested format."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format '{format}' (expected one of {FORMATS})")
-    Path(path).write_text(_RENDERERS[format](bundle), encoding="utf-8", newline="\n")
+    write_whole(path, _RENDERERS[format](bundle))

@@ -8,6 +8,7 @@ recomputation in tests/oracle.py.
 from __future__ import annotations
 
 import copy
+import os
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -282,6 +283,13 @@ def sampling_dict(accepted: int = 28, rejected: int = 12) -> dict:
 
 # Values that replace one JSON field in the mutation fuzzers.
 MUTANTS = (None, "x", 7, [], {})
+
+
+def umask() -> int:
+    """The process's file mode creation mask."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
 
 
 def json_paths(node, prefix: tuple = ()):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import json
 import re
-from datetime import datetime, timezone
+import stat
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from conftest import (
     review,
     rich_snapshot_dict,
     snapshot,
+    umask,
     user,
 )
 from prtrust import (
@@ -344,7 +347,7 @@ _EVENT_ERRORS = [
     ("issue_comments", _update_event("issue_comments", created_at=7),
      "PR 4.issue_comments[0].created_at: timestamp must be a string, got int"),
     ("issue_comments", _update_event("issue_comments", created_at="2022-01-02"),
-     "PR 4.issue_comments[0].created_at: timestamp '2022-01-02' lacks a UTC offset"),
+     "PR 4.issue_comments[0].created_at: invalid timestamp '2022-01-02'"),
     ("review_comments", _set_event("review_comments", None),
      "PR 4.review_comments[0]: expected an object, got NoneType"),
     ("review_comments", _drop_from_event("review_comments", "id"),
@@ -388,7 +391,7 @@ _EVENT_ERRORS = [
     ("reviews", _update_event("reviews", submitted_at="0001-01-01T00:00:00+01:00"),
      "PR 4.reviews[0].submitted_at: timestamp '0001-01-01T00:00:00+01:00' is out of range"),
     ("issue_comments", _update_event("issue_comments", created_at="2022-01-02Z"),
-     "PR 4.issue_comments[0].created_at: timestamp '2022-01-02Z' lacks a UTC offset"),
+     "PR 4.issue_comments[0].created_at: invalid timestamp '2022-01-02Z'"),
 ]
 
 
@@ -719,24 +722,52 @@ def test_well_formed_events_skip_the_checked_readers(rich_dict, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _reference_parse_timestamp(value, where):
-    """The general-path parser: any offset, truncated to whole seconds. Like
-    parse_timestamp, it pads or cuts fractions to six digits first."""
+    """The timestamp grammar read character by character, with no regex and no
+    ``fromisoformat``: "YYYY-MM-DDTHH:MM:SS", an optional "." and digits, then "Z",
+    "z" or "+HH:MM"/"-HH:MM" with minutes 00-59, surrounding whitespace ignored."""
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {type(value).__name__}")
-    raw = value.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    if "." in raw:
-        raw = re.sub(r"(?<=[0-9]{2}:[0-9]{2}:[0-9]{2})\.([0-9]+)(?=[+-]|\Z)",
-                     lambda m: "." + m[1][:6].ljust(6, "0"), raw)
+    invalid = SnapshotParseError(f"{where}: invalid timestamp {value!r}")
+    text = value.strip()
+
+    def number(start, end):
+        field = text[start:end]
+        if len(field) != end - start or any(c not in "0123456789" for c in field):
+            raise invalid
+        return int(field)
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    hour, minute, second = number(11, 13), number(14, 16), number(17, 19)
+    if [text[i] for i in (4, 7, 10, 13, 16)] != ["-", "-", "T", ":", ":"]:
+        raise invalid
+    end = 19
+    if text[end:end + 1] == ".":
+        end += 1
+        while end < len(text) and text[end] in "0123456789":
+            end += 1
+        if end == 20:
+            raise invalid
+    offset = text[end:]
+    if offset in ("Z", "z"):
+        zone = timezone.utc
+    elif offset == "":
+        zone = None
+    elif len(offset) == 6 and offset[0] in "+-" and offset[3] == ":" and offset[4] in "012345":
+        shift = timedelta(hours=number(end + 1, end + 3), minutes=number(end + 4, end + 6))
+        try:
+            zone = timezone(-shift if offset[0] == "-" else shift)
+        except ValueError:  # a day or more
+            raise invalid from None
+    else:
+        raise invalid
     try:
-        parsed = datetime.fromisoformat(raw)
-    except ValueError as exc:
-        raise SnapshotParseError(f"{where}: invalid timestamp {value!r}") from exc
-    if parsed.tzinfo is None:
+        moment = datetime(year, month, day, hour, minute, second, tzinfo=zone)
+    except ValueError:
+        raise invalid from None
+    if zone is None:
         raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
     try:
-        return parsed.astimezone(timezone.utc).replace(microsecond=0)
+        return moment.astimezone(timezone.utc)
     except OverflowError as exc:
         raise SnapshotParseError(f"{where}: timestamp {value!r} is out of range") from exc
 
@@ -774,20 +805,23 @@ def test_parse_timestamp_matches_the_general_path(value):
     "9999-12-31T23:59:59Z", "2022-02-30T00:00:00Z", "Z", "", "z",
 ])
 def test_parse_timestamp_matches_the_general_path_on_utc_spellings(value):
-    """"Z" forms that are not the canonical "YYYY-MM-DDTHH:MM:SSZ", by version of
-    ``datetime.fromisoformat``: some parse naive, some parse on 3.11+ only. The event
-    decoder, which parses "Z" timestamps inline, gives the same outcome."""
+    """"Z" forms that are not the canonical "YYYY-MM-DDTHH:MM:SSZ": some are in the
+    grammar, most are not. The event decoder, which parses the canonical spelling
+    inline, gives the same outcome."""
     assert _outcome(parse_timestamp, value) == _outcome(_reference_parse_timestamp, value)
+    assert _outcome(_decode_event_stamp, value) == _outcome(_parse_event_stamp, value)
 
-    def decode_event(text, where):
-        event = {"id": 1, "author": "a", "created_at": text, "body": ""}
-        (decoded,) = corpus._decode_events({"issue_comments": [event]}, "issue_comments", corpus.Comment, where)
-        return decoded.created_at
 
-    def parse_field(text, where):
-        return parse_timestamp(text, f"{where}.issue_comments[0].created_at")
+def _decode_event_stamp(text, where):
+    """``text`` as the timestamp of an issue comment, read by the event decoder."""
+    event = {"id": 1, "author": "a", "created_at": text, "body": ""}
+    (decoded,) = corpus._decode_events({"issue_comments": [event]}, "issue_comments", corpus.Comment, where)
+    return decoded.created_at
 
-    assert _outcome(decode_event, value) == _outcome(parse_field, value)
+
+def _parse_event_stamp(text, where):
+    """``text`` read by parse_timestamp, located as _decode_event_stamp locates it."""
+    return parse_timestamp(text, f"{where}.issue_comments[0].created_at")
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -795,10 +829,8 @@ def test_parse_timestamp_matches_the_general_path_on_utc_spellings(value):
     ("2022-01-01T00:00:00.25+01:00", "2021-12-31T23:00:00+00:00"),
     ("2022-01-01T00:00:00.1234+00:00", "2022-01-01T00:00:00+00:00"),
     ("2022-01-01T23:59:59.9999999Z", "2022-01-01T23:59:59+00:00"),  # cut, not rounded
-    ("2022-01-01T01:00:00+01:00:00.5", "2021-12-31T23:59:59+00:00"),  # the offset's own fraction
 ])
 def test_fractions_of_any_length_parse_alike_on_every_python(value, expected):
-    """fromisoformat before 3.11 reads only 3- or 6-digit fractions."""
     assert parse_timestamp(value, "t").isoformat() == expected
 
 
@@ -807,6 +839,69 @@ def test_malformed_fractions_stay_invalid(value):
     with pytest.raises(SnapshotParseError) as err:
         parse_timestamp(value, "t")
     assert str(err.value) == f"t: invalid timestamp {value!r}"
+
+
+# Spellings that leave the grammar. Each parses on some Python's fromisoformat: the
+# week dates, basic formats, short offsets, comma fractions and the bare "." on 3.11+
+# only, "+01:60" as "+02:00" on 3.10-3.13.
+_OFF_GRAMMAR = [
+    ("week-date", "2022-W01-1T00:00:00Z"),
+    ("week-date-offset", "2022-W01-1T00:00:00+01:00"),
+    ("basic-format", "20220101T000000Z"),
+    ("basic-time", "2022-01-01T000000Z"),
+    ("offset-without-colon", "2022-01-01T00:00:00+0100"),
+    ("offset-hours-only", "2022-01-01T00:00:00+01"),
+    ("comma-fraction", "2022-01-01T00:00:00,5Z"),
+    ("comma-fraction-offset", "2022-01-01T00:00:00,123456+01:00"),
+    ("bare-dot", "2022-01-01T00:00:00."),
+    ("bare-dot-utc", "2022-01-01T00:00:00.Z"),
+    ("offset-seconds", "2022-01-01T01:00:00+01:00:00"),
+    ("offset-seconds-fraction", "2022-01-01T01:00:00+01:00:00.5"),
+    ("space-separator", "2022-01-01 00:00:00Z"),
+    ("space-separator-offset", "2022-01-01 00:00:00+01:00"),
+    ("bare-date", "2022-01-02"),
+    ("bare-date-utc", "2022-01-02Z"),
+    ("hours-and-minutes", "2022-01-01T00:00Z"),
+    ("offset-minute-60", "2022-01-01T00:00:00+01:60"),
+]
+
+
+@pytest.mark.parametrize("value", [pytest.param(value, id=name) for name, value in _OFF_GRAMMAR])
+def test_spellings_outside_the_grammar_are_invalid(value):
+    with pytest.raises(SnapshotParseError) as err:
+        parse_timestamp(value, "t")
+    assert str(err.value) == f"t: invalid timestamp {value!r}"
+    assert _outcome(_reference_parse_timestamp, value) == _outcome(parse_timestamp, value)
+    assert _outcome(_decode_event_stamp, value) == _outcome(_parse_event_stamp, value)
+
+
+# Fragments whose product (11 x 8 x 12 x 18 x 19 = 361,152 texts, every seventh wrapped
+# in whitespace) is the differential run of the timestamp grammar across Pythons.
+_DATE_FRAGMENTS = ("2022-01-01", "2024-02-29", "2023-02-29", "0000-01-01", "0001-01-01",
+                   "9999-12-31", "2022-13-01", "20220101", "2022-W01-1", "2022-001", "2022-1-01")
+_SEPARATOR_FRAGMENTS = ("T", "t", " ", "", "_", "TT", ".", "x")
+_TIME_FRAGMENTS = ("00:00:00", "23:59:59", "24:00:00", "12:30:60", "12:30", "12", "123000",
+                   "1:00:00", "12:3:00", "00:00:00:00", "", "\u0661\u0662:30:00")
+_FRACTION_FRAGMENTS = ("", ".", ".5", ".25", ".123", ".1234", ".12345", ".123456", ".1234567",
+                       ".999999999", ",5", ",123456", ".5.5", "..5", ".a", ". 5", ".\u0665", ".000")
+_OFFSET_FRAGMENTS = ("", "Z", "z", "+00:00", "-00:00", "+01:00", "-08:00", "+05:30", "+23:59",
+                     "+24:00", "+01:60", "+0100", "+01", "+01:00:00", "+01:00:00.5", "ZZ", "+1:00",
+                     "\u221201:00", "-01:30")
+
+
+def timestamp_fragment_product(step: int = 1):
+    """Every ``step``-th text of the fragment product, in a fixed order."""
+    texts = itertools.product(_DATE_FRAGMENTS, _SEPARATOR_FRAGMENTS, _TIME_FRAGMENTS,
+                              _FRACTION_FRAGMENTS, _OFFSET_FRAGMENTS)
+    for i, parts in enumerate(itertools.islice(texts, 0, None, step)):
+        text = "".join(parts)
+        yield f" {text}\n" if (i * step) % 7 == 0 else text
+
+
+def test_fragment_product_parses_as_the_reference_reads_it():
+    """A fixed subset of the differential run; the tier-1 matrix runs it on every Python."""
+    for text in timestamp_fragment_product(step=13):
+        assert _outcome(parse_timestamp, text) == _outcome(_reference_parse_timestamp, text), text
 
 
 @pytest.mark.parametrize("year", [1, 999])
@@ -826,6 +921,23 @@ def test_early_years_round_trip(year, tmp_path):
     save_snapshot(snap, path)
     assert f'"fetched_at": "{year:04d}-06-01T00:00:00Z"' in path.read_text(encoding="utf-8")
     assert load_snapshot(path) == snap
+
+
+def test_a_failed_save_leaves_the_earlier_file_as_it_was(rich_dict, tmp_path):
+    path = tmp_path / "snap.json"
+    save_snapshot(snapshot_from_dict(rich_dict), path)
+    before = path.read_bytes()
+    rich_dict["pulls"][0]["issue_comments"][0]["body"] = "\ud83d"  # a lone surrogate: loads, cannot be written
+    with pytest.raises(UnicodeEncodeError):
+        save_snapshot(snapshot_from_dict(rich_dict), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
+
+
+def test_a_saved_snapshot_gets_the_default_file_mode(rich_dict, tmp_path):
+    path = tmp_path / "snap.json"
+    save_snapshot(snapshot_from_dict(rich_dict), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import stat
 import sys
 import tempfile
 import threading
@@ -323,6 +324,12 @@ def test_cold_fetch_writes_one_cache_file_per_response(tmp_path):
     assert sorted({path.suffix for path in cache.iterdir()}) == [".json"]
 
 
+def test_cache_entries_are_readable_by_their_owner_alone(tmp_path):
+    cache = tmp_path / "cache"
+    fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    assert {stat.S_IMODE(path.stat().st_mode) for path in cache.iterdir()} == {0o600}
+
+
 def test_concurrent_fetches_share_one_cache(tmp_path, frozen_clock):
     plan = _plan(cache_dir=tmp_path / "cache", concurrency=4)
     snapshots, errors = [], []
@@ -462,6 +469,22 @@ def test_non_string_login_aborts_naming_the_field():
     assert str(err.value) == (
         "fetch aborted after 1 of 3 PRs: PR 2 user: field 'login' must be a string, got int"
     )
+    assert isinstance(err.value.__cause__, SnapshotParseError)
+
+
+@pytest.mark.parametrize("number, index, key, message", [
+    (3, 3, "requested_reviewer",
+     "fetch aborted after 0 of 3 PRs: PR 3 timeline[3] requested_reviewer: "
+     "field 'login' must be a string, got int"),
+    (2, 0, "actor",
+     "fetch aborted after 1 of 3 PRs: PR 2 timeline[0] actor: field 'login' must be a string, got int"),
+])
+def test_malformed_timeline_event_names_the_pr_and_the_field(number, index, key, message):
+    routes = demo_routes()
+    routes[f"{REPO}/issues/{number}/timeline?per_page=100"]["payload"][index][key] = {"login": 7}
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(), session=FakeSession(routes))
+    assert str(err.value) == message
     assert isinstance(err.value.__cause__, SnapshotParseError)
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import stat
 
 import pytest
 
-from conftest import comment, commit, iso, pull, request, snapshot, user
+from conftest import comment, commit, iso, pull, request, snapshot, umask, user
 from prtrust import (
     AnalysisConfig,
     SnapshotParseError,
@@ -251,3 +253,21 @@ def test_emit_names_the_formats_it_knows(rich_bundle, tmp_path):
 def test_emit_unwritable_path(rich_bundle, tmp_path):
     with pytest.raises(OSError):
         emit(rich_bundle, "json", tmp_path / "no" / "such" / "dir" / "r.json")
+
+
+@pytest.mark.parametrize("format", ["json", "markdown"])
+def test_a_failed_emit_leaves_the_earlier_report_as_it_was(rich_bundle, tmp_path, format):
+    path = tmp_path / "report.out"
+    emit(rich_bundle, format, path)
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate renders, but cannot be written
+        emit(dataclasses.replace(rich_bundle, repo_name="\ud83d"), format, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.out"]
+
+
+@pytest.mark.parametrize("format", ["json", "csv", "markdown"])
+def test_an_emitted_report_gets_the_default_file_mode(rich_bundle, tmp_path, format):
+    path = tmp_path / "report.out"
+    emit(rich_bundle, format, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask()
