@@ -28,9 +28,9 @@ import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Iterable, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 from .errors import SnapshotError, SnapshotParseError, SnapshotValidationError
 
@@ -77,8 +77,13 @@ def parse_timestamp(value: Any, where: str) -> datetime:
 
 
 def format_timestamp(value: datetime) -> str:
-    """Render an aware datetime as "YYYY-MM-DDTHH:MM:SSZ" (four-digit year)."""
-    return value.astimezone(timezone.utc).isoformat()[:19] + "Z"
+    """Render an aware datetime as "YYYY-MM-DDTHH:MM:SSZ" (four-digit year); a naive one,
+    which only the host's time zone could place, is a SnapshotValidationError."""
+    if value.tzinfo is not timezone.utc:  # every value parse_timestamp returns skips this
+        if value.utcoffset() is None:
+            raise SnapshotValidationError(f"timestamp {value.isoformat()!r} lacks a UTC offset")
+        value = value.astimezone(timezone.utc)
+    return value.isoformat()[:19] + "Z"
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +366,15 @@ def _time_field(data: dict, key: str, where: str) -> datetime:
 _FIELD_KINDS = {"int": (_int_field, int), "str": (_str_field, str), "datetime": (_time_field, str)}
 
 
-def _event_codec(cls: type) -> tuple[dict, list, int]:
-    """Key -> checked reader, the JSON types of a well-formed event's values, and
-    the position of its timestamp. The keys, in the order they are encoded and
-    checked, are the dataclass fields; every event has exactly one timestamp."""
+def _event_codec(cls: type) -> tuple[dict, list, int, attrgetter]:
+    """Key -> checked reader, the JSON types of a well-formed event's values, the
+    position of its timestamp, and the getter of its values. The keys, in the order
+    they are encoded and checked, are the dataclass fields; every event has exactly
+    one timestamp."""
     kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
     (stamp,) = [i for i, f in enumerate(fields(cls)) if f.type == "datetime"]
-    return {name: read for name, (read, _) in kinds.items()}, [t for _, t in kinds.values()], stamp
+    readers = {name: read for name, (read, _) in kinds.items()}
+    return readers, [t for _, t in kinds.values()], stamp, attrgetter(*readers)
 
 
 _EVENT_FIELDS = {cls: _event_codec(cls) for cls in (Comment, Review, ReviewRequest, CommitEvent)}
@@ -385,7 +392,7 @@ _EVENT_LISTS = (
 
 
 def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
-    readers, types, stamp = _EVENT_FIELDS[cls]
+    readers, types, stamp, _ = _EVENT_FIELDS[cls]
     keys = readers.keys()
     take = itemgetter(*keys)
     events = []
@@ -690,14 +697,14 @@ def _encode_pull(pr: PullRequest) -> dict:
 
 
 def _encode_event(event: Any) -> dict:
-    readers, _, stamp = _EVENT_FIELDS[type(event)]
-    values = list(map(event.__getattribute__, readers))
+    readers, _, stamp, get = _EVENT_FIELDS[type(event)]
+    values = list(get(event))
     values[stamp] = format_timestamp(values[stamp])
     return dict(zip(readers, values))
 
 
-def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
-    """Encode a snapshot into its JSON-dict form (users sorted by login)."""
+def _snapshot_document(snapshot: RepoSnapshot) -> dict:
+    """The snapshot's JSON-dict form, with its PullRequests themselves under "pulls"."""
     return {
         "repo": {
             "owner": snapshot.repo_owner,
@@ -705,42 +712,103 @@ def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
             "fetched_at": format_timestamp(snapshot.fetched_at),
         },
         "users": [_encode_user(snapshot.users[login]) for login in sorted(snapshot.users)],
-        "pulls": [_encode_pull(pr) for pr in snapshot.pulls],
+        "pulls": snapshot.pulls,
     }
+
+
+def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
+    """Encode a snapshot into its JSON-dict form (users sorted by login)."""
+    document = _snapshot_document(snapshot)
+    document["pulls"] = [_encode_pull(pr) for pr in snapshot.pulls]
+    return document
 
 
 def indented_json(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` for str keys, faster: the C
     encoder cannot indent, so that call runs in pure Python; this walk encodes strings
     in C. ``newline`` carries the indentation of the level being written."""
+    return indented_items((value,), newline)[0]
+
+
+def indented_items(values: Iterable[Any], newline: str) -> list[str]:
+    """``indented_json(value, newline)`` of each value. A str, int, finite float, None,
+    bool, dict, list or tuple of exactly that type is written here, with no call of its
+    own but one per container; anything else takes the checked path."""
+    texts: list[str] = []
+    append = texts.append
+    inner = newline + "  "
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            append(_encode_str(value))
+        elif kind is int:
+            append(int.__repr__(value))
+        elif kind is float and math.isfinite(value):
+            append(float.__repr__(value))
+        elif value is None:
+            append("null")
+        elif kind is bool:
+            append("true" if value else "false")
+        elif kind is dict:
+            items = indented_items(value.values(), inner)
+            append("{" + inner + ("," + inner).join(
+                [_encode_str(key) + ": " + text for key, text in zip(value, items)]
+            ) + newline + "}" if value else "{}")
+        elif kind is list or kind is tuple:
+            append("[" + inner + ("," + inner).join(indented_items(value, inner)) + newline + "]"
+                   if value else "[]")
+        else:
+            append(_checked_json(value, newline))
+    return texts
+
+
+def _checked_json(value: Any, newline: str) -> str:
+    """A subclass of a JSON type as json.dumps writes it (through the exact type), a NaN
+    or an infinity, or json's own TypeError for anything else."""
+    if isinstance(value, dict):
+        return indented_json(dict(value), newline)
+    if isinstance(value, (list, tuple)):
+        return indented_json(list(value), newline)
     if isinstance(value, str):
         return _encode_str(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool has no subclasses
         return int.__repr__(value)
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict) and value:
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(key) + ": " + indented_json(item, inner) for key, item in value.items()]
-        ) + newline + "}"
-    if isinstance(value, (list, tuple)) and value:
-        return "[" + inner + ("," + inner).join(
-            [indented_json(item, inner) for item in value]
-        ) + newline + "]"
-    return json.dumps(value)  # empty containers, NaN and infinities, or json's own TypeError
+    return json.dumps(value)
 
 
-def write_whole(path: str | Path, text: str, mode: int = 0o666) -> None:
-    """Write ``text`` as UTF-8 to ``path`` through a new file beside it (``mode`` less the
-    umask), renamed over it; on any failure an earlier file stays as it was, and no new one."""
+def json_chunks(document: dict, key: str, render: Callable[[Any], str]) -> Iterator[str]:
+    """``indented_json(document)``, newline-terminated, in chunks: one per record of
+    ``document[key]``, which ``render`` writes as indented_json would at its place
+    in that list."""
+    yield "{"
+    separator = "\n  "
+    for name, value in document.items():
+        yield separator + _encode_str(name) + ": "
+        separator = ",\n  "
+        if name != key:
+            yield indented_json(value, "\n  ")
+        elif not value:
+            yield "[]"
+        else:
+            item = "[\n    "
+            for record in value:
+                yield item + render(record)
+                item = ",\n    "
+            yield "\n  ]"
+    yield "\n}\n"
+
+
+def write_whole(path: str | Path, chunks: Iterable[str], mode: int = 0o666) -> None:
+    """Write the text ``chunks`` as UTF-8 to ``path`` through a new file beside it (``mode``
+    less the umask), renamed over it; on any failure, also one raised while the chunks are
+    made, an earlier file stays as it was, and no new one."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -748,5 +816,7 @@ def write_whole(path: str | Path, text: str, mode: int = 0o666) -> None:
 
 
 def save_snapshot(snapshot: RepoSnapshot, path: str | Path) -> None:
-    """Write a snapshot file; the output reloads to a structurally equal value."""
-    write_whole(path, indented_json(snapshot_to_dict(snapshot)) + "\n")
+    """Write a snapshot file, one chunk per PR; the output reloads to a structurally equal value."""
+    chunks = json_chunks(_snapshot_document(snapshot), "pulls",
+                         lambda pr: indented_json(_encode_pull(pr), "\n    "))
+    write_whole(path, chunks)

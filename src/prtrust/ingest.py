@@ -162,7 +162,7 @@ class GitHubClient:
         path = self._cache_path(url)
         if path is None or envelope["etag"] is None:
             return
-        write_whole(path, json.dumps(envelope, ensure_ascii=False), mode=0o600)
+        write_whole(path, [json.dumps(envelope, ensure_ascii=False)], mode=0o600)
 
     # -- bookkeeping --------------------------------------------------------
 

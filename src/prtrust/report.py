@@ -7,15 +7,18 @@ LF newlines; emission is deterministic (same bundle, identical bytes).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import json
+import math
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from . import __version__
 from .aggregate import RepoSummary, StratumSummary, TrustProfile
-from .corpus import RepoSnapshot, format_timestamp, indented_json, parse_timestamp, read_json, write_whole
+from .corpus import (RepoSnapshot, format_timestamp, indented_items, json_chunks, parse_timestamp,
+                     read_json, write_whole)
 from .errors import SnapshotParseError
 from .metrics import DIMENSIONS, DimensionScore, left_sum
 
@@ -79,26 +82,31 @@ def format_score(value: float | None) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
-def _score_to_dict(score: DimensionScore) -> dict:
-    return {
-        "available": score.available,
-        "score": score.score,
-        "evidence": score.evidence,
-    }
+# One profile as it stands in the report's "profiles" list: its fixed keys, with a %s
+# for pr_number, outcome, overall and coverage, then per dimension for available,
+# score and evidence.
+_PROFILE = (
+    '{\n      "pr_number": %s,\n      "outcome": %s,\n      "overall": %s,\n      "coverage": %s,'
+    '\n      "dimensions": {'
+    + ",".join(f'\n        {json.dumps(d)}: {{\n          "available": %s,\n          "score": %s,'
+               '\n          "evidence": %s\n        }' for d in DIMENSIONS)
+    + "\n      }\n    }"
+)
 
 
-def _profile_to_dict(profile: TrustProfile) -> dict:
-    return {
-        "pr_number": profile.pr_number,
-        "outcome": profile.outcome,
-        "overall": profile.overall,
-        "coverage": profile.coverage,
-        "dimensions": {d: _score_to_dict(profile.scores[d]) for d in DIMENSIONS},
-    }
+def _profile_text(profile: TrustProfile) -> str:
+    scores = [profile.scores[d] for d in DIMENSIONS]
+    return _PROFILE % (
+        *indented_items((profile.pr_number, profile.outcome, profile.overall, profile.coverage),
+                        "\n      "),
+        *indented_items([v for s in scores for v in (s.available, s.score, s.evidence)],
+                        "\n          "),
+    )
 
 
-def bundle_to_dict(bundle: ReportBundle) -> dict:
-    return {
+def _json_chunks(bundle: ReportBundle) -> Iterator[str]:
+    """The JSON report, one chunk per profile."""
+    document = {
         "version": bundle.version,
         "repo": {
             "owner": bundle.repo_owner,
@@ -106,12 +114,13 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
             "fetched_at": format_timestamp(bundle.fetched_at),
         },
         "config": bundle.config,
-        "profiles": [_profile_to_dict(p) for p in bundle.profiles],
+        "profiles": bundle.profiles,
         "summary": {
             "accepted": asdict(bundle.summary.accepted),
             "rejected": asdict(bundle.summary.rejected),
         },
     }
+    return json_chunks(document, "profiles", _profile_text)
 
 
 def _profile_from_dict(raw: dict) -> TrustProfile:
@@ -130,12 +139,30 @@ def _profile_from_dict(raw: dict) -> TrustProfile:
     return profile
 
 
+def _stratum_from_dict(raw: dict, where: str) -> StratumSummary:
+    """A summary stratum whose counts are integers and whose mean is a finite number or null."""
+    stratum = StratumSummary(**raw)
+    for f in fields(StratumSummary):
+        value = getattr(stratum, f.name)
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        if f.type == "int":  # the counts
+            valid, expected = integer, "an integer"
+        else:  # the mean comment frequency
+            valid = value is None or integer or isinstance(value, float) and math.isfinite(value)
+            expected = "a finite number or null"
+        if not valid:
+            raise SnapshotParseError(
+                f"malformed report bundle: {where}.{f.name} must be {expected}, got {type(value).__name__}"
+            )
+    return stratum
+
+
 def bundle_from_dict(data: dict) -> ReportBundle:
     try:
         profiles = tuple(_profile_from_dict(raw) for raw in data["profiles"])
         summary = RepoSummary(
-            accepted=StratumSummary(**data["summary"]["accepted"]),
-            rejected=StratumSummary(**data["summary"]["rejected"]),
+            accepted=_stratum_from_dict(data["summary"]["accepted"], "summary.accepted"),
+            rejected=_stratum_from_dict(data["summary"]["rejected"], "summary.rejected"),
         )
         return ReportBundle(
             repo_owner=data["repo"]["owner"],
@@ -206,7 +233,7 @@ def markdown_summary(bundle: ReportBundle) -> str:
 
 
 def json_text(bundle: ReportBundle) -> str:
-    return indented_json(bundle_to_dict(bundle)) + "\n"
+    return "".join(_json_chunks(bundle))
 
 
 _RENDERERS = {"json": json_text, "csv": csv_text, "markdown": markdown_summary}
@@ -217,4 +244,4 @@ def emit(bundle: ReportBundle, format: str, path: str | Path) -> None:
     """Write the bundle to ``path`` in the requested format."""
     if format not in FORMATS:
         raise ValueError(f"unknown report format '{format}' (expected one of {FORMATS})")
-    write_whole(path, _RENDERERS[format](bundle))
+    write_whole(path, _json_chunks(bundle) if format == "json" else [_RENDERERS[format](bundle)])

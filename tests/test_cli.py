@@ -145,6 +145,23 @@ def test_fetch_rejects_bad_repo_argument(tmp_path, capsys):
     assert "owner/name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, got", [
+    ("pr_count", None, "NoneType"),
+    ("prs_with_review_response", "7", "str"),
+], ids=["null", "string"])
+def test_summary_of_a_report_with_a_malformed_count_exits_1(snapshot_file, tmp_path, capsys, field, value, got):
+    report = tmp_path / "report.json"
+    assert run(["analyze", "--in", str(snapshot_file), "--out", str(report), "--format", "json"]) == 0
+    data = json.loads(report.read_text(encoding="utf-8"))
+    data["summary"]["accepted"][field] = value
+    report.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["summary", "--in", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"prtrust: malformed report bundle: summary.accepted.{field} must be an integer, got {got}\n"
+    )
+
+
 def test_summary_of_missing_report_exits_1(tmp_path):
     assert run(["summary", "--in", str(tmp_path / "none.json")]) == 1
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import enum
 import itertools
 import json
 import re
 import stat
+import time
+from collections import OrderedDict
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -31,6 +34,7 @@ from conftest import (
     user,
 )
 from prtrust import (
+    Comment,
     SnapshotError,
     SnapshotParseError,
     SnapshotValidationError,
@@ -44,7 +48,7 @@ from prtrust import (
     validate,
 )
 from prtrust import corpus
-from prtrust.corpus import indented_json, parse_timestamp
+from prtrust.corpus import format_timestamp, indented_json, parse_timestamp
 
 
 def test_empty_snapshot_loads(tmp_path):
@@ -934,6 +938,38 @@ def test_a_failed_save_leaves_the_earlier_file_as_it_was(rich_dict, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
 
 
+@pytest.fixture
+def host_zone(monkeypatch):
+    """Sets the process's local time zone (a POSIX TZ string) and restores it after the test."""
+    def set_zone(zone: str) -> None:
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+
+    yield set_zone
+    monkeypatch.undo()
+    time.tzset()
+
+
+@pytest.mark.parametrize("zone", ["UTC0", "JST-9"])
+@pytest.mark.parametrize("naive", ["fetched_at", "comment"])
+def test_a_naive_datetime_is_not_saved_in_any_host_zone(rich_snapshot, host_zone, zone, naive, tmp_path):
+    """A naive value has no instant of its own: saving it through the host's zone would
+    write 12:00:00Z under UTC and 03:00:00Z under JST from one snapshot."""
+    host_zone(zone)
+    noon = datetime(2022, 1, 1, 12)
+    if naive == "fetched_at":
+        snap = dataclasses.replace(rich_snapshot, fetched_at=noon)
+    else:
+        pr = rich_snapshot.pulls[0]
+        pr = dataclasses.replace(pr, issue_comments=(Comment(1, pr.author, noon, "hi"),))
+        snap = dataclasses.replace(rich_snapshot, pulls=(pr,) + rich_snapshot.pulls[1:])
+    path = tmp_path / "snap.json"
+    with pytest.raises(SnapshotValidationError, match=r"timestamp '2022-01-01T12:00:00' lacks a UTC offset"):
+        save_snapshot(snap, path)
+    assert list(tmp_path.iterdir()) == []
+    assert format_timestamp(noon.replace(tzinfo=timezone(timedelta(hours=9)))) == "2022-01-01T03:00:00Z"
+
+
 def test_a_saved_snapshot_gets_the_default_file_mode(rich_dict, tmp_path):
     path = tmp_path / "snap.json"
     save_snapshot(snapshot_from_dict(rich_dict), path)
@@ -944,10 +980,26 @@ def test_a_saved_snapshot_gets_the_default_file_mode(rich_dict, tmp_path):
 # The indent-2 writer
 # ---------------------------------------------------------------------------
 
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Text(str):
+    def __str__(self):
+        return "not the text"
+
+
+class _Real(float):
+    def __repr__(self):
+        return "not the number"
+
+
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
     st.floats(), _TEXT, st.sampled_from(("\x00\x1f\x7f", "é✓ 漢字 😀", '"\\/\n\t')),
+    # subclasses of JSON types, which take the checked path
+    st.sampled_from((_Level.HIGH, _Text("é✓"))), st.floats().map(_Real),
 )
 _JSON_VALUES = st.recursive(
     _LEAVES,
@@ -955,6 +1007,7 @@ _JSON_VALUES = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=3).map(OrderedDict),
     ),
     max_leaves=30,
 )

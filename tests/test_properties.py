@@ -2,23 +2,33 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import json
+from dataclasses import asdict
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import comment, commit, iso, pull, request, review, snapshot, user
+from prtrust.corpus import format_timestamp
 from prtrust import (
+    DIMENSIONS,
     AnalysisConfig,
     VouchLexicon,
     action_score,
+    analyze_snapshot,
+    build_bundle,
     build_profile,
     classify_contribution,
     commitment_score,
     competence_score,
+    config_echo,
     default_lexicon,
     institutional_score,
+    json_text,
     personality_propensity,
     personality_score,
+    save_snapshot,
     snapshot_from_dict,
     snapshot_to_dict,
     transferred_detect,
@@ -125,6 +135,71 @@ def snapshot_dicts(draw) -> dict:
 def test_round_trip_is_identity(data):
     snap = snapshot_from_dict(data)
     assert snapshot_from_dict(snapshot_to_dict(snap)) == snap
+
+
+@given(data=snapshot_dicts())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_saved_snapshot_is_json_dumps_of_its_dict_form(tmp_path, data):
+    snap = snapshot_from_dict(data)
+    save_snapshot(snap, tmp_path / "saved.json")  # the same path each example: the save replaces it
+    saved = (tmp_path / "saved.json").read_text(encoding="utf-8")
+    assert saved == json.dumps(snapshot_to_dict(snap), indent=2, ensure_ascii=False) + "\n"
+
+
+CONFIGS = {
+    "default": AnalysisConfig(),
+    "tuned": AnalysisConfig(
+        f_cap=2.5, competence_window=2, exclude_bots=False,
+        weights={"action": 3.0, "commitment": 0.5, "competence": 1.0,
+                 "institutional": 2.0, "personality": 0.25, "transferred": 1.5},
+    ),
+}
+
+
+def _report_dict(bundle) -> dict:
+    """The JSON report's dict form, as it was built before the report was streamed."""
+    return {
+        "version": bundle.version,
+        "repo": {
+            "owner": bundle.repo_owner,
+            "name": bundle.repo_name,
+            "fetched_at": format_timestamp(bundle.fetched_at),
+        },
+        "config": bundle.config,
+        "profiles": [
+            {
+                "pr_number": profile.pr_number,
+                "outcome": profile.outcome,
+                "overall": profile.overall,
+                "coverage": profile.coverage,
+                "dimensions": {
+                    d: {
+                        "available": profile.scores[d].available,
+                        "score": profile.scores[d].score,
+                        "evidence": profile.scores[d].evidence,
+                    }
+                    for d in DIMENSIONS
+                },
+            }
+            for profile in bundle.profiles
+        ],
+        "summary": {
+            "accepted": asdict(bundle.summary.accepted),
+            "rejected": asdict(bundle.summary.rejected),
+        },
+    }
+
+
+@given(snapshot_dicts(), st.sampled_from(sorted(CONFIGS)))
+@settings(max_examples=60, deadline=None)
+def test_the_json_report_is_json_dumps_of_its_dict_form(data, config_name):
+    assume(data["pulls"])  # a snapshot with no PRs has no report
+    snap = snapshot_from_dict(data)
+    config = CONFIGS[config_name]
+    lexicon = config.load_lexicon()
+    profiles, summary = analyze_snapshot(snap, config, lexicon)
+    bundle = build_bundle(snap, profiles, summary, config_echo(config, lexicon))
+    assert json_text(bundle) == json.dumps(_report_dict(bundle), indent=2, ensure_ascii=False) + "\n"
 
 
 @given(snapshot_dicts())

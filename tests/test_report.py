@@ -8,7 +8,8 @@ import stat
 
 import pytest
 
-from conftest import comment, commit, iso, pull, request, snapshot, umask, user
+from conftest import (MUTANTS, comment, commit, iso, json_paths, pull, replace_at, request, snapshot, umask,
+                      user)
 from prtrust import (
     AnalysisConfig,
     SnapshotParseError,
@@ -222,6 +223,28 @@ def test_load_bundle_rejects_available_or_coverage_that_disagree_with_the_scores
     )
 
 
+def _valid_summary_value(field: str, value) -> bool:
+    """Whether a report's summary may hold ``value`` for ``field``, of the MUTANTS."""
+    return value == 7 or (value is None and field == "mean_comment_frequency")
+
+
+def test_load_bundle_rejects_each_malformed_summary_value_by_name(rich_bundle, tmp_path):
+    text = json_text(rich_bundle)
+    path = tmp_path / "mutated.json"
+    for at in json_paths(json.loads(text)["summary"], ("summary",)):
+        for mutant in MUTANTS:
+            mutated = json.loads(text)
+            replace_at(mutated, at, mutant)
+            path.write_text(json.dumps(mutated), encoding="utf-8")
+            if len(at) == 3 and _valid_summary_value(at[-1], mutant):
+                markdown_summary(load_bundle(path))
+                continue
+            with pytest.raises(SnapshotParseError, match="^malformed report bundle: ") as err:
+                load_bundle(path)
+            if len(at) == 3:
+                assert str(err.value).startswith(f"malformed report bundle: {'.'.join(at)} must be "), err.value
+
+
 def test_config_echo_reproduces_run(rich_snapshot, tmp_path):
     config = AnalysisConfig(f_cap=2.0, exclude_bots=False)
     bundle = _bundle(rich_snapshot, config)
@@ -255,13 +278,30 @@ def test_emit_unwritable_path(rich_bundle, tmp_path):
         emit(rich_bundle, "json", tmp_path / "no" / "such" / "dir" / "r.json")
 
 
-@pytest.mark.parametrize("format", ["json", "markdown"])
-def test_a_failed_emit_leaves_the_earlier_report_as_it_was(rich_bundle, tmp_path, format):
+def _surrogate_in_the_name(bundle):
+    return dataclasses.replace(bundle, repo_name="\ud83d")
+
+
+def _surrogate_in_the_last_evidence(bundle):
+    """The JSON report then fails on its last chunk, after the others were written."""
+    last = bundle.profiles[-1]
+    score = last.scores["transferred"]
+    spoiled = dataclasses.replace(score, evidence={**score.evidence, "note": "\ud83d"})
+    last = dataclasses.replace(last, scores={**last.scores, "transferred": spoiled})
+    return dataclasses.replace(bundle, profiles=bundle.profiles[:-1] + (last,))
+
+
+@pytest.mark.parametrize("format, spoil", [
+    pytest.param("json", _surrogate_in_the_name, id="json"),
+    pytest.param("markdown", _surrogate_in_the_name, id="markdown"),
+    pytest.param("json", _surrogate_in_the_last_evidence, id="json-last-profile"),
+])
+def test_a_failed_emit_leaves_the_earlier_report_as_it_was(rich_bundle, tmp_path, format, spoil):
     path = tmp_path / "report.out"
     emit(rich_bundle, format, path)
     before = path.read_bytes()
     with pytest.raises(UnicodeEncodeError):  # a lone surrogate renders, but cannot be written
-        emit(dataclasses.replace(rich_bundle, repo_name="\ud83d"), format, path)
+        emit(spoil(rich_bundle), format, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.out"]
 
