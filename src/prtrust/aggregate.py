@@ -94,9 +94,11 @@ def analyze_snapshot(
 ) -> tuple[list[TrustProfile], "RepoSummary"]:
     """Profile every PR in the snapshot and summarize the result.
 
-    Raises SnapshotError when the snapshot holds no pull requests, since
-    there is nothing to score or summarize.
+    Raises ConfigError for a config that ``validate`` rejects, and
+    SnapshotError when the snapshot holds no pull requests, since there is
+    nothing to score or summarize.
     """
+    config.validate()
     if not snapshot.pulls:
         raise SnapshotError("the snapshot holds no pull requests; there is nothing to analyze")
     if lexicon is None:

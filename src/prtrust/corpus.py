@@ -803,11 +803,13 @@ def json_chunks(document: dict, key: str, render: Callable[[Any], str]) -> Itera
 def write_whole(path: str | Path, chunks: Iterable[str], mode: int = 0o666) -> None:
     """Write the text ``chunks`` as UTF-8 to ``path`` through a new file beside it (``mode``
     less the umask), renamed over it; on any failure, also one raised while the chunks are
-    made, an earlier file stays as it was, and no new one."""
+    made, an earlier file stays as it was, and no new one. A lone UTF-16 surrogate, the one
+    character UTF-8 cannot hold, is written as its escape ``\\udXXX``, which JSON reads
+    back as the same string."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with open(fd, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -12,7 +12,8 @@ Cache layout: one file per response, {cache_dir}/{sha256(url)}.json,
 holding {"url", "retrieved_at", "link_next", "etag", "body"}. Entries are
 written through a unique temporary file and renamed into place, so
 processes may share a cache directory; an entry that is unreadable, not
-in this layout, or whose retrieval time does not parse is a miss. A warm
+in this layout, whose etag is not a string, whose link_next is neither a
+string nor null, or whose retrieval time does not parse is a miss. A warm
 cache answers every request with a 304 revalidation, and the recorded
 retrieval times are reused, so re-runs produce byte-identical snapshots.
 
@@ -73,7 +74,7 @@ logger = logging.getLogger(__name__)
 
 API_ROOT = "https://api.github.com"
 _PAGE_SIZE = 100
-_MAX_RETRIES = 3          # per request, on network errors and 5xx
+_MAX_RETRIES = 3          # per request, network errors and 5xx answers together
 _MAX_RATE_WAITS = 3       # bounded even with a token
 _TIMEOUT = 30.0
 
@@ -107,8 +108,8 @@ class FetchPlan:
 class GitHubClient:
     """Minimal GitHub REST client: caching, retries, rate-limit handling.
 
-    Thread-safe for concurrent GETs of distinct URLs; the request counts
-    and retrieval-time bookkeeping are lock-protected.
+    Thread-safe for concurrent GETs of distinct URLs; the retrieval-time
+    bookkeeping is lock-protected.
     """
 
     def __init__(
@@ -130,7 +131,6 @@ class GitHubClient:
         self._sleep = sleep
         self._lock = threading.Lock()
         self.max_retrieved_at: datetime | None = None
-        self.stats = {"http_requests": 0, "cache_hits": 0, "uncached": 0}
 
     # -- cache ------------------------------------------------------------
 
@@ -150,7 +150,9 @@ class GitHubClient:
                 envelope = json.load(handle)
         except (OSError, ValueError, RecursionError):
             return None
-        if not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS):
+        if (not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS)
+                or not isinstance(envelope["etag"], str)
+                or not isinstance(envelope["link_next"], (str, type(None)))):
             return None
         try:
             envelope["retrieved_at"] = parse_timestamp(envelope["retrieved_at"], "cache entry")
@@ -166,10 +168,9 @@ class GitHubClient:
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _note_retrieved(self, retrieved_at: datetime, source: str) -> None:
-        """Count a response served from ``source`` and track the newest retrieval."""
+    def _note_retrieved(self, retrieved_at: datetime) -> None:
+        """Track the newest retrieval time."""
         with self._lock:
-            self.stats[source] += 1
             if self.max_retrieved_at is None or retrieved_at > self.max_retrieved_at:
                 self.max_retrieved_at = retrieved_at
 
@@ -191,7 +192,9 @@ class GitHubClient:
 
         Returns (payload, next_page_url). ``max_retrieved_at`` tracks the time
         each body was originally fetched, so cached responses replay their
-        recorded time.
+        recorded time. Each attempt returns, raises, waits for a rate-limit
+        reset, or is retried: a network error and a 5xx answer share one
+        budget of ``_MAX_RETRIES`` retries with exponential backoff.
         """
         cached = self._read_cached(url)
         etag = cached["etag"] if cached else None
@@ -200,69 +203,57 @@ class GitHubClient:
         rate_waits = 0
         while True:
             try:
-                with self._lock:
-                    self.stats["http_requests"] += 1
                 response = self._session.get(url, headers=self._headers(etag), timeout=_TIMEOUT)
             except _network_error() as exc:
-                if retries >= _MAX_RETRIES:
-                    raise FetchError(f"network error fetching {url}: {exc}") from exc
-                self._sleep(0.5 * 2**retries)
-                retries += 1
-                continue
+                failure, cause = f"network error fetching {url}: {exc}", exc
+            else:
+                status = response.status_code
+                if status == 304 and cached is not None:
+                    self._note_retrieved(cached["retrieved_at"])
+                    return cached["body"], cached["link_next"]
+                if status == 200:
+                    retrieved_at = datetime.now(timezone.utc).replace(microsecond=0)
+                    try:
+                        payload = response.json()
+                    except ValueError as exc:
+                        raise FetchError(f"non-JSON response from {url}") from exc
+                    link_next = _parse_next_link(response.headers.get("Link"))
+                    envelope = {
+                        "url": url,
+                        "retrieved_at": format_timestamp(retrieved_at),
+                        "link_next": link_next,
+                        "etag": response.headers.get("ETag"),
+                        "body": payload,
+                    }
+                    self._write_cached(url, envelope)
+                    self._note_retrieved(retrieved_at)
+                    return payload, link_next
+                if status == 404:
+                    raise NotFoundError(f"not found: {url}")
+                if status in (403, 429) and _is_rate_limited(response):
+                    reset_at = _reset_time(response.headers)
+                    if self._token and rate_waits < _MAX_RATE_WAITS:
+                        delay = _seconds_until(reset_at, response.headers)
+                        logger.warning("rate limit exhausted; waiting %.0f s until reset", delay)
+                        self._sleep(delay)
+                        rate_waits += 1
+                        continue
+                    raise RateLimitError(
+                        f"rate limit exhausted fetching {url}"
+                        + (f" (resets at {format_timestamp(reset_at)})" if reset_at else "")
+                        + "; completed responses are cached, re-run the same fetch to resume",
+                        reset_at=reset_at,
+                    )
+                if status in (401, 403):
+                    raise AuthError(f"request to {url} was rejected with HTTP {status}")
+                if status < 500:
+                    raise FetchError(f"unexpected HTTP {status} from {url}")
+                failure, cause = f"{url} kept failing with HTTP {status}", None
 
-            status = response.status_code
-
-            if status == 304 and cached is not None:
-                self._note_retrieved(cached["retrieved_at"], "cache_hits")
-                return cached["body"], cached["link_next"]
-
-            if status == 200:
-                retrieved_at = datetime.now(timezone.utc).replace(microsecond=0)
-                try:
-                    payload = response.json()
-                except ValueError as exc:
-                    raise FetchError(f"non-JSON response from {url}") from exc
-                link_next = _parse_next_link(response.headers.get("Link"))
-                envelope = {
-                    "url": url,
-                    "retrieved_at": format_timestamp(retrieved_at),
-                    "link_next": link_next,
-                    "etag": response.headers.get("ETag"),
-                    "body": payload,
-                }
-                self._write_cached(url, envelope)
-                self._note_retrieved(retrieved_at, "uncached")
-                return payload, link_next
-
-            if status == 404:
-                raise NotFoundError(f"not found: {url}")
-
-            if status in (403, 429) and _is_rate_limited(response):
-                reset_at = _reset_time(response.headers)
-                if self._token and rate_waits < _MAX_RATE_WAITS:
-                    delay = _seconds_until(reset_at, response.headers)
-                    logger.warning("rate limit exhausted; waiting %.0f s until reset", delay)
-                    self._sleep(delay)
-                    rate_waits += 1
-                    continue
-                raise RateLimitError(
-                    f"rate limit exhausted fetching {url}"
-                    + (f" (resets at {format_timestamp(reset_at)})" if reset_at else "")
-                    + "; completed responses are cached, re-run the same fetch to resume",
-                    reset_at=reset_at,
-                )
-
-            if status in (401, 403):
-                raise AuthError(f"request to {url} was rejected with HTTP {status}")
-
-            if status >= 500:
-                if retries >= _MAX_RETRIES:
-                    raise FetchError(f"{url} kept failing with HTTP {status}")
-                self._sleep(0.5 * 2**retries)
-                retries += 1
-                continue
-
-            raise FetchError(f"unexpected HTTP {status} from {url}")
+            if retries >= _MAX_RETRIES:
+                raise FetchError(failure) from cause
+            self._sleep(0.5 * 2**retries)
+            retries += 1
 
     def get_paginated(self, url: str, stop_after: int | None = None) -> list:
         """Collect list items across pages, following rel="next" links."""
@@ -355,10 +346,18 @@ def reconstruct_review_requests(timeline_events: list, where: str = "timeline") 
 
 
 def _login(account: Any, default: str | None, where: str) -> str | None:
-    """The login of a GitHub account object, or ``default`` when it has none."""
+    """The login of a GitHub account object, or ``default`` when it has none. A login
+    becomes part of a URL, so one holding a lone UTF-16 surrogate is rejected."""
     if account is None:
         return default
-    return _optional_str(account, "login", where) or default
+    login = _optional_str(account, "login", where)
+    if not login:
+        return default
+    try:
+        login.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SnapshotParseError(f"{where}: field 'login' must encode as UTF-8, got {login!r}") from None
+    return login
 
 
 def _object_field(data: dict, key: str, where: str) -> dict:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -71,11 +72,15 @@ def build_bundle(
     )
 
 
+# Room for the 309 integer digits of the largest finite float and six decimals.
+_WIDE = Context(prec=315)
+
+
 def format_score(value: float | None) -> str:
     """Six decimal places, half-up; empty string for absent values."""
     if value is None:
         return ""
-    return str(Decimal(repr(value)).quantize(Decimal("0.000001"), rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(value)).quantize(Decimal("0.000001"), rounding=ROUND_HALF_UP, context=_WIDE))
 
 
 # ---------------------------------------------------------------------------
@@ -139,31 +144,54 @@ def _profile_from_dict(raw: dict) -> TrustProfile:
     return profile
 
 
-def _stratum_from_dict(raw: dict, where: str) -> StratumSummary:
-    """A summary stratum whose counts are integers and whose mean is a finite number or null."""
+def _stratum_from_dict(raw: dict, where: str, profile_count: int) -> StratumSummary:
+    """A summary stratum whose counts are integers from 0 to ``profile_count`` and whose
+    mean is a number that a float holds, or null."""
     stratum = StratumSummary(**raw)
     for f in fields(StratumSummary):
         value = getattr(stratum, f.name)
         integer = isinstance(value, int) and not isinstance(value, bool)
         if f.type == "int":  # the counts
-            valid, expected = integer, "an integer"
+            if not integer:
+                problem = f"must be an integer, got {type(value).__name__}"
+            elif not 0 <= value <= profile_count:
+                problem = f"must be from 0 to the report's {profile_count} profiles, got {value}"
+            else:
+                continue
+        elif value is None or (integer or isinstance(value, float)) and abs(value) <= sys.float_info.max:
+            continue
         else:  # the mean comment frequency
-            valid = value is None or integer or isinstance(value, float) and math.isfinite(value)
-            expected = "a finite number or null"
-        if not valid:
-            raise SnapshotParseError(
-                f"malformed report bundle: {where}.{f.name} must be {expected}, got {type(value).__name__}"
-            )
+            problem = f"must be a finite number or null, got {type(value).__name__}"
+        raise SnapshotParseError(f"malformed report bundle: {where}.{f.name} {problem}")
     return stratum
+
+
+def _total_mean(summary: RepoSummary) -> float | None:
+    """The mean comment frequency over both strata, or None; inf or nan when it overflows."""
+    parts = [
+        (s.pr_count, float(s.mean_comment_frequency))
+        for s in (summary.accepted, summary.rejected)
+        if s.mean_comment_frequency is not None
+    ]
+    total_n = sum(n for n, _ in parts)
+    if total_n == 0:
+        return None
+    return left_sum(n * m for n, m in parts) / total_n
 
 
 def bundle_from_dict(data: dict) -> ReportBundle:
     try:
         profiles = tuple(_profile_from_dict(raw) for raw in data["profiles"])
         summary = RepoSummary(
-            accepted=_stratum_from_dict(data["summary"]["accepted"], "summary.accepted"),
-            rejected=_stratum_from_dict(data["summary"]["rejected"], "summary.rejected"),
+            accepted=_stratum_from_dict(data["summary"]["accepted"], "summary.accepted", len(profiles)),
+            rejected=_stratum_from_dict(data["summary"]["rejected"], "summary.rejected", len(profiles)),
         )
+        total = _total_mean(summary)
+        if total is not None and not math.isfinite(total):
+            raise SnapshotParseError(
+                "malformed report bundle: the mean comment frequency of both strata together "
+                "overflows a float"
+            )
         return ReportBundle(
             repo_owner=data["repo"]["owner"],
             repo_name=data["repo"]["name"],
@@ -200,18 +228,6 @@ def markdown_summary(bundle: ReportBundle) -> str:
     accepted = bundle.summary.accepted
     rejected = bundle.summary.rejected
     pending = len(bundle.profiles) - accepted.pr_count - rejected.pr_count
-
-    def mean_total() -> float | None:
-        parts = [
-            (s.pr_count, s.mean_comment_frequency)
-            for s in (accepted, rejected)
-            if s.mean_comment_frequency is not None
-        ]
-        total_n = sum(n for n, _ in parts)
-        if total_n == 0:
-            return None
-        return left_sum(n * m for n, m in parts) / total_n
-
     lines = [
         f"# Trust summary: {bundle.repo_owner}/{bundle.repo_name}",
         "",
@@ -225,7 +241,7 @@ def markdown_summary(bundle: ReportBundle) -> str:
     for label, key in _SUMMARY_ROWS:
         a, r = getattr(accepted, key), getattr(rejected, key)
         if key == "mean_comment_frequency":
-            cells = (format_score(a), format_score(r), format_score(mean_total()))
+            cells = (format_score(a), format_score(r), format_score(_total_mean(bundle.summary)))
         else:
             cells = (str(a), str(r), str(a + r))
         lines.append(f"| {label} | {' | '.join(cells)} |")

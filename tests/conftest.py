@@ -282,7 +282,7 @@ def sampling_dict(accepted: int = 28, rejected: int = 12) -> dict:
 
 
 # Values that replace one JSON field in the mutation fuzzers.
-MUTANTS = (None, "x", 7, [], {})
+MUTANTS = (None, "x", 7, [], {}, "\ud83d")  # the last, a lone surrogate, loads but is not UTF-8
 
 
 def umask() -> int:

@@ -153,6 +153,19 @@ def test_profiles_carry_unavailability_through(rich_snapshot):
 # Sampling
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("config, message", [
+    (AnalysisConfig(weights={"action": 1.0}),
+     "weights must cover exactly the dimensions ('action', 'commitment', 'competence', "
+     "'institutional', 'personality', 'transferred')"),
+    (AnalysisConfig(weights={d: 0.0 for d in UNIFORM}), "weights.action must be positive and finite, got 0.0"),
+    (AnalysisConfig(competence_window=0), "competence_window must be >= 1, got 0"),
+], ids=["one-weight", "zero-weights", "zero-window"])
+def test_analysis_rejects_a_config_built_in_code_as_validate_does(rich_snapshot, config, message):
+    with pytest.raises(ConfigError) as err:
+        analyze_snapshot(rich_snapshot, config)
+    assert str(err.value) == message
+
+
 def test_plan_split_25_at_three_quarters():
     plan = SamplePlan(per_repo_n=25, accept_ratio=0.75, seed=0)
     assert plan.accepted_count == 19

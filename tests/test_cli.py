@@ -162,6 +162,23 @@ def test_summary_of_a_report_with_a_malformed_count_exits_1(snapshot_file, tmp_p
     )
 
 
+@pytest.mark.parametrize("accepted, code, err", [
+    ({"mean_comment_frequency": 1e22}, 0, ""),
+    ({"pr_count": 2, "mean_comment_frequency": 1e308}, 1,
+     "prtrust: malformed report bundle: the mean comment frequency of both strata together overflows a float\n"),
+], ids=["large-mean", "overflowing-total"])
+def test_summary_of_a_report_with_a_large_mean_renders_or_exits_1(snapshot_file, tmp_path, capsys, accepted,
+                                                                  code, err):
+    report = tmp_path / "report.json"
+    assert run(["analyze", "--in", str(snapshot_file), "--out", str(report), "--format", "json"]) == 0
+    data = json.loads(report.read_text(encoding="utf-8"))
+    data["summary"]["accepted"].update(accepted)
+    report.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["summary", "--in", str(report)]) == code
+    assert capsys.readouterr().err == err
+
+
 def test_summary_of_missing_report_exits_1(tmp_path):
     assert run(["summary", "--in", str(tmp_path / "none.json")]) == 1
 

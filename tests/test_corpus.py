@@ -927,15 +927,31 @@ def test_early_years_round_trip(year, tmp_path):
     assert load_snapshot(path) == snap
 
 
-def test_a_failed_save_leaves_the_earlier_file_as_it_was(rich_dict, tmp_path):
+def test_a_failed_save_leaves_the_earlier_file_as_it_was(rich_snapshot, tmp_path):
     path = tmp_path / "snap.json"
-    save_snapshot(snapshot_from_dict(rich_dict), path)
+    save_snapshot(rich_snapshot, path)
     before = path.read_bytes()
-    rich_dict["pulls"][0]["issue_comments"][0]["body"] = "\ud83d"  # a lone surrogate: loads, cannot be written
-    with pytest.raises(UnicodeEncodeError):
-        save_snapshot(snapshot_from_dict(rich_dict), path)
+    # a naive time in the last PR fails the save after the earlier PRs reached the temp file
+    last = dataclasses.replace(rich_snapshot.pulls[-1], created_at=datetime(2022, 1, 1, 12))
+    with pytest.raises(SnapshotValidationError, match="lacks a UTC offset"):
+        save_snapshot(dataclasses.replace(rich_snapshot, pulls=rich_snapshot.pulls[:-1] + (last,)), path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
+
+
+def test_a_lone_surrogate_is_saved_escaped_and_reloads_equal(rich_dict, tmp_path):
+    rich_dict["pulls"][0]["issue_comments"][0]["body"] = "half an emoji \ud83d"
+    rich_dict["pulls"][-1]["labels"] = ["\udfff"]
+    rich_dict["users"][0]["orgs"] = ["\\\ud83d"]  # a backslash before the surrogate
+    path = tmp_path / "snap.json"
+    save_snapshot(snapshot_from_dict(rich_dict), path)
+    text = path.read_bytes().decode("utf-8")
+    assert '"half an emoji \\ud83d"' in text and '"\\udfff"' in text and '"\\\\\\ud83d"' in text
+    reloaded = load_snapshot(path)
+    assert reloaded == snapshot_from_dict(rich_dict)
+    again = tmp_path / "again.json"
+    save_snapshot(reloaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.fixture

@@ -391,8 +391,18 @@ def _not_utf8(path):
     path.write_bytes(b'{"url": "\xff"}')
 
 
+def _retyped(key, value):
+    def corrupt(path):
+        envelope = json.loads(path.read_text(encoding="utf-8"))
+        envelope[key] = value
+        path.write_text(json.dumps(envelope), encoding="utf-8")
+
+    corrupt.__name__ = f"_{key}_of_5"
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout, _unparsable_time,
-                                     _too_deep, _not_utf8])
+                                     _too_deep, _not_utf8, _retyped("etag", 5), _retyped("link_next", 5)])
 def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
     cache = tmp_path / "cache"
     cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
@@ -407,6 +417,33 @@ def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
     assert "If-None-Match" not in calls[0][0]
     assert json.loads(entry.read_text(encoding="utf-8"))["etag"] == 'W/"list1"'
     assert warm == cold
+
+
+def test_a_lone_surrogate_in_a_body_is_cached_and_saved_escaped(tmp_path, frozen_clock):
+    routes = demo_routes()
+    routes[f"{REPO}/issues/3/comments?per_page=100"]["payload"][0]["body"] = "half an emoji \ud83d"
+    cache = tmp_path / "cache"
+    cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(routes))
+    session = FakeSession(routes)
+    warm = fetch_snapshot(_plan(cache_dir=cache), session=session)
+    assert 200 not in session.status_log
+    assert warm == cold
+    assert cold.pulls[2].issue_comments[0].body == "half an emoji \ud83d"
+    saved = tmp_path / "snap.json"
+    save_snapshot(warm, saved)
+    assert load_snapshot(saved) == warm
+
+
+def test_a_login_holding_a_lone_surrogate_aborts_naming_the_field():
+    routes = demo_routes()
+    routes[f"{REPO}/issues/3/comments?per_page=100"]["payload"][0]["user"] = {"login": "mona\ud83d"}
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(), session=FakeSession(routes))
+    assert str(err.value) == (
+        "fetch aborted after 0 of 3 PRs: PR 3 issue comment: "
+        "field 'login' must encode as UTF-8, got 'mona\\ud83d'"
+    )
+    assert isinstance(err.value.__cause__, SnapshotParseError)
 
 
 def test_missing_repo_aborts_with_not_found():
@@ -549,6 +586,104 @@ def test_server_errors_exhaust_retries():
     assert len(session.calls) == 4  # one attempt plus three retries
 
 
+class _DroppingSession(FakeSession):
+    """Raises a network error on the attempts numbered in ``drops``, counted from 0."""
+
+    def __init__(self, routes, drops):
+        super().__init__(routes)
+        self.drops = set(drops)
+        self.attempts = 0
+
+    def get(self, url, headers=None, timeout=None):
+        import requests
+
+        attempt, self.attempts = self.attempts, self.attempts + 1
+        if attempt in self.drops:
+            raise requests.ConnectionError(f"connection reset on attempt {attempt}")
+        return super().get(url, headers, timeout)
+
+
+def test_a_network_error_is_retried_and_the_request_then_answered():
+    url = f"{API}/flaky"
+    session = _DroppingSession({url: [{"status": 200, "payload": {"ok": 1}}]}, drops=[0])
+    sleeps = []
+    payload, _ = GitHubClient(session=session, sleep=sleeps.append).get(url)
+    assert payload == {"ok": 1}
+    assert sleeps == [0.5]
+    assert session.attempts == 2
+
+
+@pytest.mark.parametrize("drops, message", [
+    ([0, 2], "{url} kept failing with HTTP 503"),
+    ([1, 3], "network error fetching {url}: connection reset on attempt 3"),
+], ids=["last-503", "last-network-error"])
+def test_network_errors_and_server_errors_share_one_retry_budget(drops, message):
+    import requests
+
+    url = f"{API}/broken"
+    session = _DroppingSession({url: [{"status": 503, "payload": {}}]}, drops=drops)
+    sleeps = []
+    with pytest.raises(FetchError) as err:
+        GitHubClient(session=session, sleep=sleeps.append).get(url)
+    assert session.attempts == 4  # one attempt plus three retries, whatever failed
+    assert sleeps == [0.5, 1.0, 2.0]
+    assert str(err.value) == message.format(url=url)
+    assert isinstance(err.value.__cause__, requests.ConnectionError) == (3 in drops)
+
+
+class _NotJSON(FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+class _Answering:
+    """A session that gives every request one response."""
+
+    def __init__(self, response):
+        self.response = response
+        self.calls = 0
+
+    def get(self, url, headers=None, timeout=None):
+        self.calls += 1
+        return self.response
+
+
+def test_a_200_whose_body_is_not_json_is_a_fetch_error():
+    url = f"{API}/garbled"
+    session = _Answering(_NotJSON(200))
+    with pytest.raises(FetchError) as err:
+        GitHubClient(session=session).get(url)
+    assert str(err.value) == f"non-JSON response from {url}"
+    assert isinstance(err.value.__cause__, ValueError)
+    assert session.calls == 1
+
+
+@pytest.mark.parametrize("status", [418, 304])  # a 304 without a cache entry to revalidate
+def test_an_unexpected_status_is_a_fetch_error_without_retries(status):
+    url = f"{API}/teapot"
+    session = _Answering(FakeResponse(status))
+    with pytest.raises(FetchError) as err:
+        GitHubClient(session=session, sleep=lambda s: pytest.fail("slept")).get(url)
+    assert str(err.value) == f"unexpected HTTP {status} from {url}"
+    assert session.calls == 1
+
+
+@pytest.mark.parametrize("reset, delay", [
+    (str(int(datetime(2022, 2, 1, tzinfo=timezone.utc).timestamp()) + 120), 121.0),
+    ("never", 60.0),
+], ids=["reset-time", "no-reset-time"])
+def test_a_retry_after_that_is_not_a_number_waits_for_the_reset(frozen_clock, reset, delay):
+    url = f"{API}/probe"
+    routes = {url: [
+        {"status": 429, "payload": {}, "headers": {"Retry-After": "soon", "X-RateLimit-Reset": reset}},
+        {"status": 200, "payload": {"ok": True}},
+    ]}
+    sleeps = []
+    client = GitHubClient(token="t0ken", session=FakeSession(routes), sleep=sleeps.append)
+    assert client.get(url) == ({"ok": True}, None)
+    assert sleeps == [delay]
+
+
 def test_unauthorized_raises_auth_error():
     url = f"{API}/secret"
     session = FakeSession({url: [{"status": 401, "payload": {}}]})
@@ -562,6 +697,33 @@ def test_env_token_is_sent(monkeypatch):
     session = FakeSession(demo_routes())
     fetch_snapshot(_plan(), session=session)
     assert all(h.get("Authorization") == "Bearer abc123" for _, h in session.calls)
+
+
+def test_fetched_at_is_raised_to_the_newest_act(frozen_clock):
+    routes = demo_routes()
+    routes[f"{REPO}/issues/3/comments?per_page=100"]["payload"].append(
+        {"id": 92, "user": {"login": "mona"}, "created_at": "2022-03-05T00:00:00Z", "body": "late"}
+    )
+    snap = fetch_snapshot(_plan(), session=FakeSession(routes))
+    # every response was retrieved at the frozen 2022-02-01, before that comment
+    assert snap.fetched_at == datetime(2022, 3, 5, tzinfo=timezone.utc)
+
+
+def test_a_missing_org_list_or_permission_reads_as_none():
+    routes = demo_routes()
+    del routes[f"{API}/users/mona/orgs?per_page=100"]
+    del routes[f"{REPO}/collaborators/mona/permission"]
+    mona = fetch_snapshot(_plan(), session=FakeSession(routes)).users["mona"]
+    assert (mona.followers, mona.orgs, mona.permission, mona.permission_unknown) == (
+        50, frozenset(), "none", False
+    )
+
+
+@pytest.mark.parametrize("field", ["max_pulls", "concurrency"])
+def test_fetch_plan_rejects_zero(field):
+    with pytest.raises(ValueError) as err:
+        _plan(**{field: 0})
+    assert str(err.value) == f"{field} must be >= 1, got 0"
 
 
 def test_max_pulls_stops_pagination():

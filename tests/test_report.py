@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import stat
+from decimal import Decimal
 
 import pytest
 
@@ -245,6 +247,42 @@ def test_load_bundle_rejects_each_malformed_summary_value_by_name(rich_bundle, t
                 assert str(err.value).startswith(f"malformed report bundle: {'.'.join(at)} must be "), err.value
 
 
+def _report_with(bundle, tmp_path, **accepted):
+    """A JSON report of ``bundle`` whose accepted stratum holds ``accepted``."""
+    return _edited_report(bundle, tmp_path, lambda data: data["summary"]["accepted"].update(accepted))[0]
+
+
+@pytest.mark.parametrize("accepted, message", [
+    ({"pr_count": 10**400},
+     f"summary.accepted.pr_count must be from 0 to the report's 25 profiles, got {10**400}"),
+    ({"first_timer_prs": -1}, "summary.accepted.first_timer_prs must be from 0 to the report's 25 profiles, got -1"),
+    ({"prs_with_transferred_flag": 26},
+     "summary.accepted.prs_with_transferred_flag must be from 0 to the report's 25 profiles, got 26"),
+    ({"mean_comment_frequency": 10**400}, "summary.accepted.mean_comment_frequency must be a finite number or null, got int"),
+    ({"pr_count": 2, "mean_comment_frequency": 1e308},
+     "the mean comment frequency of both strata together overflows a float"),
+], ids=["huge-count", "negative-count", "count-above-profiles", "huge-integer-mean", "overflowing-total"])
+def test_load_bundle_rejects_a_summary_that_cannot_render(rich_bundle, tmp_path, accepted, message):
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(_report_with(rich_bundle, tmp_path, **accepted))
+    assert str(err.value) == f"malformed report bundle: {message}"
+
+
+@pytest.mark.parametrize("mean", [1e22, 1e300, 10**300, 1.7976931348623157e308, -1e22],
+                         ids=["1e22", "1e300", "int-10**300", "float-max", "minus-1e22"])
+def test_any_mean_that_load_bundle_accepts_renders(rich_bundle, tmp_path, mean):
+    bundle = load_bundle(_report_with(rich_bundle, tmp_path, pr_count=1, mean_comment_frequency=mean))
+    row = next(line for line in markdown_summary(bundle).splitlines() if line.startswith("| Mean"))
+    assert row.split(" | ")[1] == f"{Decimal(repr(mean)):f}.000000"  # the shortest repr, in full
+
+
+def test_format_score_writes_every_finite_float_in_full():
+    assert format_score(1e22) == "10000000000000000000000.000000"
+    assert format_score(-1.7976931348623157e308) == "-17976931348623157" + "0" * 292 + ".000000"
+    assert format_score(0.0000005) == "0.000001"
+    assert format_score(2.5e-7) == "0.000000"
+
+
 def test_config_echo_reproduces_run(rich_snapshot, tmp_path):
     config = AnalysisConfig(f_cap=2.0, exclude_bots=False)
     bundle = _bundle(rich_snapshot, config)
@@ -278,32 +316,54 @@ def test_emit_unwritable_path(rich_bundle, tmp_path):
         emit(rich_bundle, "json", tmp_path / "no" / "such" / "dir" / "r.json")
 
 
-def _surrogate_in_the_name(bundle):
-    return dataclasses.replace(bundle, repo_name="\ud83d")
+def _unwritable_config(bundle, monkeypatch):
+    """The JSON report then fails on its header, a value JSON cannot write."""
+    return dataclasses.replace(bundle, config={**bundle.config, "note": {"a set"}})
 
 
-def _surrogate_in_the_last_evidence(bundle):
+def _unwritable_last_evidence(bundle, monkeypatch):
     """The JSON report then fails on its last chunk, after the others were written."""
     last = bundle.profiles[-1]
     score = last.scores["transferred"]
-    spoiled = dataclasses.replace(score, evidence={**score.evidence, "note": "\ud83d"})
+    spoiled = dataclasses.replace(score, evidence={**score.evidence, "note": {"a set"}})
     last = dataclasses.replace(last, scores={**last.scores, "transferred": spoiled})
     return dataclasses.replace(bundle, profiles=bundle.profiles[:-1] + (last,))
 
 
-@pytest.mark.parametrize("format, spoil", [
-    pytest.param("json", _surrogate_in_the_name, id="json"),
-    pytest.param("markdown", _surrogate_in_the_name, id="markdown"),
-    pytest.param("json", _surrogate_in_the_last_evidence, id="json-last-profile"),
+def _failing_rename(bundle, monkeypatch):
+    """The whole text reaches the temp file; moving it over the report fails."""
+    def refuse(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    return bundle
+
+
+@pytest.mark.parametrize("format, spoil, error", [
+    pytest.param("json", _unwritable_config, TypeError, id="json"),
+    pytest.param("markdown", _failing_rename, PermissionError, id="markdown"),
+    pytest.param("json", _unwritable_last_evidence, TypeError, id="json-last-profile"),
 ])
-def test_a_failed_emit_leaves_the_earlier_report_as_it_was(rich_bundle, tmp_path, format, spoil):
+def test_a_failed_emit_leaves_the_earlier_report_as_it_was(rich_bundle, tmp_path, monkeypatch, format, spoil,
+                                                           error):
     path = tmp_path / "report.out"
     emit(rich_bundle, format, path)
     before = path.read_bytes()
-    with pytest.raises(UnicodeEncodeError):  # a lone surrogate renders, but cannot be written
-        emit(spoil(rich_bundle), format, path)
+    with pytest.raises(error):
+        emit(spoil(rich_bundle, monkeypatch), format, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.out"]
+
+
+def test_a_lone_surrogate_in_a_report_is_written_escaped(rich_bundle, tmp_path):
+    bundle = dataclasses.replace(rich_bundle, repo_name="half \ud83d")
+    emit(bundle, "json", tmp_path / "r.json")
+    emit(bundle, "markdown", tmp_path / "r.md")
+    assert '"name": "half \\ud83d"' in (tmp_path / "r.json").read_bytes().decode("utf-8")
+    assert load_bundle(tmp_path / "r.json") == bundle
+    assert (tmp_path / "r.md").read_bytes().decode("utf-8") == (
+        markdown_summary(bundle).replace("\ud83d", "\\ud83d")
+    )
 
 
 @pytest.mark.parametrize("format", ["json", "csv", "markdown"])
