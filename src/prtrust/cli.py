@@ -65,9 +65,9 @@ def _load_cli_config(path: str | None) -> AnalysisConfig:
 
 
 def _cmd_fetch(args) -> int:
-    if "/" not in args.repo:
-        raise _UsageError(f"--repo must look like owner/name, got {args.repo!r}")
     owner, _, name = args.repo.partition("/")
+    if not owner or not name or "/" in name:
+        raise _UsageError(f"--repo must look like owner/name, got {args.repo!r}")
     plan = FetchPlan(
         repo_owner=owner,
         repo_name=name,

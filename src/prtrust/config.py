@@ -51,6 +51,10 @@ class AnalysisConfig:
     lexicon_path: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), f.type)
+        for dimension, weight in self.weights.items():
+            _check_type(f"weights.{dimension}", weight, "float")
         for key, out_of_range, requirement in _RANGES:
             value = getattr(self, key)
             if out_of_range(value):
@@ -108,6 +112,21 @@ _PARSERS = {
     "str | None": lambda value, where: value,
 }
 _SCALAR_KEYS = {f.name: _PARSERS[f.type] for f in fields(AnalysisConfig) if f.name != "weights"}
+# The types each field annotation accepts in a config built in code, and their name in
+# errors; a bool, though an int, is accepted only where the annotation is "bool".
+_TYPES = {
+    "float": ((int, float), "a number"),
+    "int": (int, "an integer"),
+    "bool": (bool, "a boolean"),
+    "str | None": ((str, type(None)), "a string or None"),
+    "dict[str, float]": (dict, "a dict"),
+}
+
+
+def _check_type(key: str, value: object, annotation: str) -> None:
+    accepted, name = _TYPES[annotation]
+    if not isinstance(value, accepted) or type(value) is bool and annotation != "bool":
+        raise ConfigError(f"{key} must be {name}, got {type(value).__name__}")
 
 
 def load_config(path: str | Path) -> AnalysisConfig:

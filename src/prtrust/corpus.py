@@ -726,14 +726,16 @@ def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
 def indented_json(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` for str keys, faster: the C
     encoder cannot indent, so that call runs in pure Python; this walk encodes strings
-    in C. ``newline`` carries the indentation of the level being written."""
+    in C and hands values of other types to json.dumps. ``newline`` carries the
+    indentation of the level being written."""
     return indented_items((value,), newline)[0]
 
 
 def indented_items(values: Iterable[Any], newline: str) -> list[str]:
     """``indented_json(value, newline)`` of each value. A str, int, finite float, None,
     bool, dict, list or tuple of exactly that type is written here, with no call of its
-    own but one per container; anything else takes the checked path."""
+    own but one per container; any other value goes to json.dumps, whose newlines are
+    then indented to ``newline``."""
     texts: list[str] = []
     append = texts.append
     inner = newline + "  "
@@ -758,30 +760,15 @@ def indented_items(values: Iterable[Any], newline: str) -> list[str]:
             append("[" + inner + ("," + inner).join(indented_items(value, inner)) + newline + "]"
                    if value else "[]")
         else:
-            append(_checked_json(value, newline))
+            append(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline))
     return texts
-
-
-def _checked_json(value: Any, newline: str) -> str:
-    """A subclass of a JSON type as json.dumps writes it (through the exact type), a NaN
-    or an infinity, or json's own TypeError for anything else."""
-    if isinstance(value, dict):
-        return indented_json(dict(value), newline)
-    if isinstance(value, (list, tuple)):
-        return indented_json(list(value), newline)
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, int):  # bool has no subclasses
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value)
 
 
 def json_chunks(document: dict, key: str, render: Callable[[Any], str]) -> Iterator[str]:
     """``indented_json(document)``, newline-terminated, in chunks: one per record of
     ``document[key]``, which ``render`` writes as indented_json would at its place
-    in that list."""
+    in that list; as there, values of other types than it writes itself go to
+    json.dumps."""
     yield "{"
     separator = "\n  "
     for name, value in document.items():

@@ -503,7 +503,7 @@ def transferred_detect(
 def _references_author(body: str, span: tuple[int, int], author: str) -> bool:
     lowered = body.lower()
     login = author.lower()
-    if f"@{login}" in lowered or login in lowered:
+    if login in lowered:  # an @mention holds the login too
         return True
     matched = lowered[span[0]:span[1]]
     words = "".join(c if c.isalpha() else " " for c in matched).split()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -159,7 +161,22 @@ def test_profiles_carry_unavailability_through(rich_snapshot):
      "'institutional', 'personality', 'transferred')"),
     (AnalysisConfig(weights={d: 0.0 for d in UNIFORM}), "weights.action must be positive and finite, got 0.0"),
     (AnalysisConfig(competence_window=0), "competence_window must be >= 1, got 0"),
-], ids=["one-weight", "zero-weights", "zero-window"])
+    # a value of the wrong type, named before any range check runs
+    (AnalysisConfig(f_cap="4"), "f_cap must be a number, got str"),
+    (AnalysisConfig(competence_window=2.5), "competence_window must be an integer, got float"),
+    (AnalysisConfig(competence_window=True), "competence_window must be an integer, got bool"),
+    (AnalysisConfig(accept_ratio=True), "accept_ratio must be a number, got bool"),
+    (AnalysisConfig(per_repo_n="25"), "per_repo_n must be an integer, got str"),
+    (AnalysisConfig(seed=1.0), "seed must be an integer, got float"),
+    (AnalysisConfig(weights=MappingProxyType(UNIFORM)), "weights must be a dict, got mappingproxy"),
+    (AnalysisConfig(weights={**UNIFORM, "personality": "1"}), "weights.personality must be a number, got str"),
+    (AnalysisConfig(weights={**UNIFORM, "action": True}), "weights.action must be a number, got bool"),
+    (AnalysisConfig(exclude_bots="false"), "exclude_bots must be a boolean, got str"),
+    (AnalysisConfig(lexicon_path=Path("vouch.txt")),
+     f"lexicon_path must be a string or None, got {type(Path()).__name__}"),
+], ids=["one-weight", "zero-weights", "zero-window", "f_cap", "competence_window", "competence_window-bool",
+        "accept_ratio", "per_repo_n", "seed", "weights", "weight-str", "weight-bool", "exclude_bots",
+        "lexicon_path"])
 def test_analysis_rejects_a_config_built_in_code_as_validate_does(rich_snapshot, config, message):
     with pytest.raises(ConfigError) as err:
         analyze_snapshot(rich_snapshot, config)

@@ -138,11 +138,13 @@ def test_network_error_exits_2(monkeypatch, tmp_path):
     assert code == 2
 
 
-def test_fetch_rejects_bad_repo_argument(tmp_path, capsys):
-    code = run(["fetch", "--repo", "not-a-slug", "--max-pulls", "5",
-                "--out", str(tmp_path / "snap.json")])
-    assert code == 1
-    assert "owner/name" in capsys.readouterr().err
+def test_fetch_rejects_bad_repo_argument(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr("prtrust.cli.fetch_snapshot", calls.append)
+    for repo in ["not-a-slug", "apache/", "/airflow", "apache/air/flow", "/"]:
+        code = run(["fetch", "--repo", repo, "--max-pulls", "5", "--out", str(tmp_path / "snap.json")])
+        assert (code, calls) == (1, []), repo
+        assert f"prtrust: error: --repo must look like owner/name, got {repo!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value, got", [

@@ -1010,11 +1010,19 @@ class _Real(float):
         return "not the number"
 
 
+class _Items(list):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
     st.floats(), _TEXT, st.sampled_from(("\x00\x1f\x7f", "é✓ 漢字 😀", '"\\/\n\t')),
-    # subclasses of JSON types, which take the checked path
+    # subclasses of JSON types, which indented_json hands to json.dumps
     st.sampled_from((_Level.HIGH, _Text("é✓"))), st.floats().map(_Real),
 )
 _JSON_VALUES = st.recursive(
@@ -1024,6 +1032,8 @@ _JSON_VALUES = st.recursive(
         st.lists(inner, max_size=3).map(tuple),
         st.dictionaries(_TEXT, inner, max_size=4),
         st.dictionaries(_TEXT, inner, max_size=3).map(OrderedDict),
+        st.lists(inner, max_size=3).map(_Items),
+        st.lists(inner, max_size=3).map(_Pair),
     ),
     max_leaves=30,
 )

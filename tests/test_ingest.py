@@ -733,6 +733,13 @@ def test_max_pulls_stops_pagination():
     assert all(url != LIST_CLOSED_2 for url, _ in session.calls)
 
 
+def test_the_last_page_header_names_no_next_page():
+    base = "https://api.github.com/repositories/1/pulls?state=closed&per_page=100"
+    header = f'<{base}&page=2>; rel="prev", <{base}&page=1>; rel="first"'
+    assert ingest._parse_next_link(header) is None
+    assert ingest._parse_next_link(f'<{base}&page=4>; rel="next", {header}') == f"{base}&page=4"
+
+
 def test_include_open_fetches_open_prs():
     routes = demo_routes()
     open_item = _pr_item(4, "2022-01-15T00:00:00Z", state="open")

@@ -238,6 +238,14 @@ def test_competence_window_limits_history():
     assert competence_score(snap.pulls[4], snap).evidence["prior_acceptance_rate"] == 0.25
 
 
+@pytest.mark.parametrize("window", [0, -5])
+def test_competence_window_below_one_is_refused(window):
+    snap = build([pull(1, "dev")], BASE_USERS)
+    with pytest.raises(ConfigError) as err:
+        competence_score(snap.pulls[0], snap, window=window)
+    assert str(err.value) == f"competence window must be >= 1, got {window}"
+
+
 def test_competence_open_priors_do_not_count():
     users = [user("kat"), user("maintainer", permission="admin")]
     snap = build([pull(1, "kat", state="open"), pull(2, "kat")], users)

@@ -164,6 +164,13 @@ def test_markdown_and_json_summary_agree(rich_bundle):
     assert format_score(accepted["mean_comment_frequency"]) in text
 
 
+def test_markdown_summary_of_only_open_prs_counts_them_pending_with_no_mean():
+    snap = snapshot_from_dict(snapshot([pull(n, "dev", state="open") for n in (1, 2, 3)], [user("dev")]))
+    text = markdown_summary(_bundle(snap))
+    assert "3 PRs analyzed (0 accepted, 0 rejected, 3 pending)." in text
+    assert "| Mean comment frequency (per day) |  |  |  |" in text.splitlines()
+
+
 def test_json_key_order_is_stable(rich_bundle):
     data = json.loads(json_text(rich_bundle))
     assert list(data) == ["version", "repo", "config", "profiles", "summary"]
