@@ -405,6 +405,11 @@ class VouchLexicon:
     def _lowered(self) -> tuple[str, ...]:
         return tuple(pattern.lower() for pattern in self.patterns)
 
+    @cached_property
+    def _heads(self) -> frozenset[str]:
+        """The distinct lowered pattern heads: the text before any ``*``."""
+        return frozenset(pattern.partition("*")[0] for pattern in self._lowered)
+
     def find(self, text: str) -> tuple[str, int, int] | None:
         """Return (pattern, start, end) for the first matching pattern.
 
@@ -424,17 +429,19 @@ class VouchLexicon:
         ``*``) of some pattern, so each distinct head is searched once in
         the lowered texts joined by NUL, and only the texts it occurs in go
         through ``find``. An occurrence that runs across a separator only
-        adds a candidate. An empty head makes every text a candidate.
+        adds a candidate. An empty head makes every text a candidate. The
+        distinct heads are computed once per lexicon.
         """
-        heads = {pattern.partition("*")[0] for pattern in self._lowered}
-        if "" in heads:
+        if not texts:
+            return []
+        if "" in self._heads:
             return [self.find(text) for text in texts]
         # lowered one by one: lowering can change a text's length and depends on its context
         lowered = [text.lower() for text in texts]
         starts = list(accumulate((len(text) + 1 for text in lowered), initial=0))
         joined = "\0".join(lowered)
         candidates = set()
-        for head in heads:
+        for head in self._heads:
             at = joined.find(head)
             while at >= 0:
                 index = bisect_right(starts, at) - 1
@@ -481,8 +488,18 @@ def transferred_detect(
     Always available; score is 1 when any vouch exists, else 0. The
     evidence is flagged low-confidence: this is a phrase heuristic, not
     language understanding.
+
+    The lexicon reads only the bodies whose author could vouch: (d) is
+    decided once per distinct commenter, before any matching. A login
+    missing from ``snapshot.users`` stays in and raises UnknownLoginError
+    once one of its bodies matches and references the author, and only then.
     """
     events = [e for e in discussion(pr) if e.author != pr.author and e.body]
+    vouchers = {
+        login for login in {e.author for e in events}
+        if login not in snapshot.users or _is_established(login, pr, snapshot)
+    }
+    events = [e for e in events if e.author in vouchers]
     vouches: list[dict[str, Any]] = []
     for event, hit in zip(events, lexicon.find_each([e.body for e in events])):
         if hit is None:
@@ -490,8 +507,7 @@ def transferred_detect(
         pattern, start, end = hit
         if not _references_author(event.body, (start, end), pr.author):
             continue
-        if not _is_established(event.author, pr, snapshot):
-            continue
+        _profile(snapshot, event.author)  # a voucher missing from the snapshot raises here
         vouches.append({"comment_id": event.id, "pattern": pattern, "voucher": event.author})
 
     return DimensionScore(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -144,25 +145,31 @@ def _profile_from_dict(raw: dict) -> TrustProfile:
     return profile
 
 
-def _stratum_from_dict(raw: dict, where: str, profile_count: int) -> StratumSummary:
-    """A summary stratum whose counts are integers from 0 to ``profile_count`` and whose
-    mean is a number that a float holds, or null."""
+def _stratum_from_dict(raw: dict, outcome: str, profile_count: int, outcome_count: int) -> StratumSummary:
+    """A summary stratum whose counts are integers from 0 to ``profile_count``, whose
+    ``pr_count`` is ``outcome_count``, the number of profiles with its outcome, and whose
+    other counts are at most its ``pr_count``; its mean is a number that a float holds,
+    or null."""
     stratum = StratumSummary(**raw)
     for f in fields(StratumSummary):
         value = getattr(stratum, f.name)
         integer = isinstance(value, int) and not isinstance(value, bool)
-        if f.type == "int":  # the counts
+        if f.type == "int":  # the counts, pr_count first
             if not integer:
                 problem = f"must be an integer, got {type(value).__name__}"
             elif not 0 <= value <= profile_count:
                 problem = f"must be from 0 to the report's {profile_count} profiles, got {value}"
+            elif f.name == "pr_count" and value != outcome_count:
+                problem = f"must be the report's {outcome_count} {outcome} profiles, got {value}"
+            elif value > stratum.pr_count:
+                problem = f"must be at most the stratum's pr_count {stratum.pr_count}, got {value}"
             else:
                 continue
         elif value is None or (integer or isinstance(value, float)) and abs(value) <= sys.float_info.max:
             continue
         else:  # the mean comment frequency
             problem = f"must be a finite number or null, got {type(value).__name__}"
-        raise SnapshotParseError(f"malformed report bundle: {where}.{f.name} {problem}")
+        raise SnapshotParseError(f"malformed report bundle: summary.{outcome}.{f.name} {problem}")
     return stratum
 
 
@@ -182,10 +189,11 @@ def _total_mean(summary: RepoSummary) -> float | None:
 def bundle_from_dict(data: dict) -> ReportBundle:
     try:
         profiles = tuple(_profile_from_dict(raw) for raw in data["profiles"])
-        summary = RepoSummary(
-            accepted=_stratum_from_dict(data["summary"]["accepted"], "summary.accepted", len(profiles)),
-            rejected=_stratum_from_dict(data["summary"]["rejected"], "summary.rejected", len(profiles)),
-        )
+        outcomes = Counter(profile.outcome for profile in profiles)
+        summary = RepoSummary(**{
+            outcome: _stratum_from_dict(data["summary"][outcome], outcome, len(profiles), outcomes[outcome])
+            for outcome in ("accepted", "rejected")
+        })
         total = _total_mean(summary)
         if total is not None and not math.isfinite(total):
             raise SnapshotParseError(

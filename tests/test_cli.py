@@ -164,9 +164,28 @@ def test_summary_of_a_report_with_a_malformed_count_exits_1(snapshot_file, tmp_p
     )
 
 
+@pytest.mark.parametrize("summary, err", [
+    ({"accepted": {"pr_count": 25}, "rejected": {"pr_count": 25}},
+     "summary.accepted.pr_count must be the report's 15 accepted profiles, got 25"),
+    ({"rejected": {"first_timer_prs": 8}},
+     "summary.rejected.first_timer_prs must be at most the stratum's pr_count 7, got 8"),
+], ids=["pr-count", "count-above-pr-count"])
+def test_summary_of_a_report_whose_counts_disagree_with_its_profiles_exits_1(snapshot_file, tmp_path, capsys,
+                                                                             summary, err):
+    report = tmp_path / "report.json"
+    assert run(["analyze", "--in", str(snapshot_file), "--out", str(report), "--format", "json"]) == 0
+    data = json.loads(report.read_text(encoding="utf-8"))
+    for stratum, counts in summary.items():
+        data["summary"][stratum].update(counts)
+    report.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["summary", "--in", str(report)]) == 1
+    assert capsys.readouterr() == ("", f"prtrust: malformed report bundle: {err}\n")
+
+
 @pytest.mark.parametrize("accepted, code, err", [
     ({"mean_comment_frequency": 1e22}, 0, ""),
-    ({"pr_count": 2, "mean_comment_frequency": 1e308}, 1,
+    ({"mean_comment_frequency": 1e308}, 1,  # times the stratum's 15 PRs
      "prtrust: malformed report bundle: the mean comment frequency of both strata together overflows a float\n"),
 ], ids=["large-mean", "overflowing-total"])
 def test_summary_of_a_report_with_a_large_mean_renders_or_exits_1(snapshot_file, tmp_path, capsys, accepted,

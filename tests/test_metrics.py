@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import comment, commit, iso, pull, request, review, snapshot, user
+from conftest import VOUCH_PR, comment, commit, iso, pull, request, review, snapshot, user
 from prtrust import (
     ConfigError,
     UnknownLoginError,
@@ -24,6 +25,7 @@ from prtrust import (
     snapshot_from_dict,
     transferred_detect,
 )
+from prtrust.corpus import discussion
 
 
 def build(pulls, users):
@@ -460,6 +462,57 @@ def test_transferred_must_reference_author():
 def test_transferred_possessive_inside_span_counts():
     snap = _vouch_snapshot("maintainer", body="We already reviewed their work.", author="zara")
     assert transferred_detect(snap.pulls[0], snap, default_lexicon()).score == 1.0
+
+
+@pytest.mark.parametrize("body, author, raises", [
+    ("LGTM", "syed", False),
+    ("He is a new member of our team.", "zara", False),
+    (VOUCH, "syed", True),
+], ids=["no-match", "match-without-author", "referencing-match"])
+def test_transferred_raises_for_an_unknown_commenter_only_on_a_referencing_match(body, author, raises):
+    snap = _vouch_snapshot("stranger", body=body, author=author)
+    unvalidated = dataclasses.replace(snap, users={k: v for k, v in snap.users.items() if k != "stranger"})
+    if raises:
+        with pytest.raises(UnknownLoginError, match="'stranger'"):
+            transferred_detect(unvalidated.pulls[0], unvalidated, default_lexicon())
+    else:
+        assert transferred_detect(unvalidated.pulls[0], unvalidated, default_lexicon()).score == 0.0
+
+
+@dataclasses.dataclass(frozen=True)
+class _RecordingLexicon(VouchLexicon):
+    """The default lexicon, recording every text it is given."""
+
+    patterns: tuple[str, ...] = default_lexicon().patterns
+    seen: list = dataclasses.field(default_factory=list, compare=False)
+
+    def find_each(self, texts):
+        self.seen.extend(texts)
+        return super().find_each(texts)
+
+
+def test_transferred_reads_only_bodies_whose_author_could_vouch(rich_snapshot):
+    established = {"maintainer", "grace", "carol"}  # write or admin; no other commenter has a record
+    withheld = 0
+    for pr in rich_snapshot.pulls:
+        lexicon = _RecordingLexicon()
+        flagged = transferred_detect(pr, rich_snapshot, lexicon).score == 1.0
+        bodies = [(e.author, e.body) for e in discussion(pr) if e.author != pr.author and e.body]
+        assert lexicon.seen == [body for login, body in bodies if login in established]
+        assert flagged == (pr.number == VOUCH_PR)
+        withheld += len(bodies) - len(lexicon.seen)
+    assert withheld > 0  # the bot's "build passed" comments
+
+    snap = _vouch_snapshot("stranger")
+    lexicon = _RecordingLexicon()
+    assert transferred_detect(snap.pulls[0], snap, lexicon).score == 0.0
+    assert lexicon.seen == []
+
+    unvalidated = dataclasses.replace(snap, users={k: v for k, v in snap.users.items() if k != "stranger"})
+    lexicon = _RecordingLexicon()
+    with pytest.raises(UnknownLoginError):
+        transferred_detect(unvalidated.pulls[0], unvalidated, lexicon)
+    assert lexicon.seen == [VOUCH]
 
 
 def test_lexicon_wildcard_matching():

@@ -232,20 +232,25 @@ def test_load_bundle_rejects_available_or_coverage_that_disagree_with_the_scores
     )
 
 
-def _valid_summary_value(field: str, value) -> bool:
-    """Whether a report's summary may hold ``value`` for ``field``, of the MUTANTS."""
-    return value == 7 or (value is None and field == "mean_comment_frequency")
+def _valid_summary_value(summary: dict, at: tuple, value) -> bool:
+    """Whether a report whose summary is ``summary`` may hold ``value`` at ``at``, of the
+    MUTANTS: a count must not pass its stratum's pr_count, which must stay the same."""
+    stratum, field = summary[at[1]], at[2]
+    if field == "mean_comment_frequency":
+        return value is None or value == 7
+    return value == 7 and (value == stratum["pr_count"] if field == "pr_count" else value <= stratum["pr_count"])
 
 
 def test_load_bundle_rejects_each_malformed_summary_value_by_name(rich_bundle, tmp_path):
     text = json_text(rich_bundle)
     path = tmp_path / "mutated.json"
-    for at in json_paths(json.loads(text)["summary"], ("summary",)):
+    summary = json.loads(text)["summary"]
+    for at in json_paths(summary, ("summary",)):
         for mutant in MUTANTS:
             mutated = json.loads(text)
             replace_at(mutated, at, mutant)
             path.write_text(json.dumps(mutated), encoding="utf-8")
-            if len(at) == 3 and _valid_summary_value(at[-1], mutant):
+            if len(at) == 3 and _valid_summary_value(summary, at, mutant):
                 markdown_summary(load_bundle(path))
                 continue
             with pytest.raises(SnapshotParseError, match="^malformed report bundle: ") as err:
@@ -265,10 +270,15 @@ def _report_with(bundle, tmp_path, **accepted):
     ({"first_timer_prs": -1}, "summary.accepted.first_timer_prs must be from 0 to the report's 25 profiles, got -1"),
     ({"prs_with_transferred_flag": 26},
      "summary.accepted.prs_with_transferred_flag must be from 0 to the report's 25 profiles, got 26"),
+    ({"pr_count": 25},
+     "summary.accepted.pr_count must be the report's 15 accepted profiles, got 25"),
+    ({"prs_with_transferred_flag": 16},
+     "summary.accepted.prs_with_transferred_flag must be at most the stratum's pr_count 15, got 16"),
     ({"mean_comment_frequency": 10**400}, "summary.accepted.mean_comment_frequency must be a finite number or null, got int"),
-    ({"pr_count": 2, "mean_comment_frequency": 1e308},
+    ({"mean_comment_frequency": 1e308},  # times the stratum's 15 PRs
      "the mean comment frequency of both strata together overflows a float"),
-], ids=["huge-count", "negative-count", "count-above-profiles", "huge-integer-mean", "overflowing-total"])
+], ids=["huge-count", "negative-count", "count-above-profiles", "pr-count-not-the-outcome-count",
+        "count-above-pr-count", "huge-integer-mean", "overflowing-total"])
 def test_load_bundle_rejects_a_summary_that_cannot_render(rich_bundle, tmp_path, accepted, message):
     with pytest.raises(SnapshotParseError) as err:
         load_bundle(_report_with(rich_bundle, tmp_path, **accepted))
@@ -277,8 +287,10 @@ def test_load_bundle_rejects_a_summary_that_cannot_render(rich_bundle, tmp_path,
 
 @pytest.mark.parametrize("mean", [1e22, 1e300, 10**300, 1.7976931348623157e308, -1e22],
                          ids=["1e22", "1e300", "int-10**300", "float-max", "minus-1e22"])
-def test_any_mean_that_load_bundle_accepts_renders(rich_bundle, tmp_path, mean):
-    bundle = load_bundle(_report_with(rich_bundle, tmp_path, pr_count=1, mean_comment_frequency=mean))
+def test_any_mean_that_load_bundle_accepts_renders(tmp_path, mean):
+    one_accepted = snapshot_from_dict(snapshot([pull(1, "dev", closer="boss")],
+                                               [user("dev"), user("boss", permission="admin")]))
+    bundle = load_bundle(_report_with(_bundle(one_accepted), tmp_path, mean_comment_frequency=mean))
     row = next(line for line in markdown_summary(bundle).splitlines() if line.startswith("| Mean"))
     assert row.split(" | ")[1] == f"{Decimal(repr(mean)):f}.000000"  # the shortest repr, in full
 
