@@ -21,6 +21,7 @@ minutes 00-59, surrounding whitespace ignored; other spellings are invalid.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -366,19 +367,18 @@ def _time_field(data: dict, key: str, where: str) -> datetime:
 _FIELD_KINDS = {"int": (_int_field, int), "str": (_str_field, str), "datetime": (_time_field, str)}
 
 
-def _event_codec(cls: type) -> tuple[dict, list, int, attrgetter]:
+def _event_codec(cls: type) -> tuple[dict, list, int, attrgetter, itemgetter]:
     """Key -> checked reader, the JSON types of a well-formed event's values, the
-    position of its timestamp, and the getter of its values. The keys, in the order
-    they are encoded and checked, are the dataclass fields; every event has exactly
-    one timestamp."""
+    position of its timestamp, and the getters of its values from an event and from
+    its JSON object. The keys, in the order they are encoded and checked, are the
+    dataclass fields; every event has exactly one timestamp."""
     kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
     (stamp,) = [i for i, f in enumerate(fields(cls)) if f.type == "datetime"]
     readers = {name: read for name, (read, _) in kinds.items()}
-    return readers, [t for _, t in kinds.values()], stamp, attrgetter(*readers)
+    return readers, [t for _, t in kinds.values()], stamp, attrgetter(*readers), itemgetter(*readers)
 
 
 _EVENT_FIELDS = {cls: _event_codec(cls) for cls in (Comment, Review, ReviewRequest, CommitEvent)}
-_PR_KEYS = frozenset(f.name for f in fields(PullRequest))
 _USER_KEYS = frozenset(f.name for f in fields(UserProfile))
 
 # The event lists of a pull request, in JSON key order.
@@ -390,30 +390,82 @@ _EVENT_LISTS = (
     ("review_requests", ReviewRequest),
 )
 
+# What _fast_pull reads a pull request by: the keys of a closed and of an open one, the
+# JSON type of each value every one holds and their getter, and, per event list, its key,
+# class, the keys of its events, their getter, their JSON types and the position of their
+# timestamp.
+_PR_KEYS = frozenset(f.name for f in fields(PullRequest))
+_OPEN_PR_KEYS = _PR_KEYS - {"closed_at", "closer"}
+_PR_VALUE_TYPES = {"number": int, "author": str, "state": str, "created_at": str, "labels": list,
+                   "contribution_kind": str, "files": list}
+_PR_TYPES = tuple(_PR_VALUE_TYPES.values())
+_PR_TAKE = itemgetter(*_PR_VALUE_TYPES)
+_EVENT_DECODERS = tuple(
+    (key, cls, readers.keys(), take, types, stamp)
+    for key, cls in _EVENT_LISTS
+    for readers, types, stamp, _, take in [_EVENT_FIELDS[cls]]
+)
+_ONLY_STR = frozenset((str,))
+
+
+def _fast_pull(data: Any) -> PullRequest | None:
+    """The PullRequest of a well-formed pull, decoded with no helper call per field or
+    event, or None, and _decode_pull then reads it or names its fault. Well-formed is an
+    exact dict of every field, or of all but closed_at and closer; values of their exact
+    JSON types, closed_at and closer possibly null, and unique labels; events that are
+    exact dicts of their exact keys (in any order) and types; and every timestamp in the
+    canonical "YYYY-MM-DDTHH:MM:SSZ" spelling, which parse_timestamp reads to the same
+    value. A date that does not exist, such as "2023-02-29", falls through."""
+    if type(data) is not dict or data.keys() not in (_PR_KEYS, _OPEN_PR_KEYS):
+        return None
+    values = _PR_TAKE(data)
+    closed_at, closer = data.get("closed_at"), data.get("closer")
+    if tuple(map(type, values)) != _PR_TYPES or not (
+        (closer is None or type(closer) is str)
+        and (closed_at is None or type(closed_at) is str and _CANONICAL(closed_at))
+    ):
+        return None
+    number, author, state, created_at, labels, kind, files = values
+    if not (_CANONICAL(created_at) and _ONLY_STR.issuperset(map(type, labels))
+            and _ONLY_STR.issuperset(map(type, files))):
+        return None
+    label_set = frozenset(labels)
+    if len(label_set) != len(labels):
+        return None
+    fromisoformat = datetime.fromisoformat
+    events = []
+    try:
+        created_at = fromisoformat(created_at[:-1] + "+00:00")
+        if closed_at is not None:
+            closed_at = fromisoformat(closed_at[:-1] + "+00:00")
+        for key, cls, keys, take, types, stamp in _EVENT_DECODERS:
+            raw_events = data[key]
+            if type(raw_events) is not list:
+                return None
+            decoded = []
+            for raw in raw_events:
+                if type(raw) is not dict or raw.keys() != keys:
+                    return None
+                event = list(take(raw))
+                if list(map(type, event)) != types or not _CANONICAL(event[stamp]):
+                    return None
+                event[stamp] = fromisoformat(event[stamp][:-1] + "+00:00")
+                decoded.append(cls(*event))
+            events.append(tuple(decoded))
+    except ValueError:  # a date that does not exist
+        return None
+    return PullRequest(number, author, state, created_at, closed_at, closer, label_set, kind,
+                       tuple(files), *events)
+
 
 def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
-    readers, types, stamp, _ = _EVENT_FIELDS[cls]
-    keys = readers.keys()
-    take = itemgetter(*keys)
+    """The event list ``data[key]`` read by the checked readers, which name any fault."""
+    readers = _EVENT_FIELDS[cls][0]
     events = []
     for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
-        # The fast path, with no helper call per event: exact keys (in any order), JSON types,
-        # and a timestamp in the canonical "YYYY-MM-DDTHH:MM:SSZ" spelling, which
-        # parse_timestamp reads to the same value; a date that does not exist falls through.
-        if type(raw) is dict and raw.keys() == keys:
-            values = list(take(raw))
-            if list(map(type, values)) == types and _CANONICAL(values[stamp]):
-                try:
-                    values[stamp] = datetime.fromisoformat(values[stamp][:-1] + "+00:00")
-                except ValueError:
-                    pass
-                else:
-                    events.append(cls(*values))
-                    continue
-        # Another spelling, or something is wrong: the checked readers read it or name the fault.
         at = f"{where}.{key}[{i}]"
         raw = _require_dict(raw, at)
-        _check_keys(raw, keys, at)
+        _check_keys(raw, readers, at)
         events.append(cls(*[read(raw, name, at) for name, read in readers.items()]))
     return tuple(events)
 
@@ -484,7 +536,7 @@ def snapshot_from_dict(data: Any) -> RepoSnapshot:
         users[profile.login] = profile
 
     pulls = tuple(
-        _decode_pull(raw, i)
+        _fast_pull(raw) or _decode_pull(raw, i)
         for i, raw in enumerate(_require_list(_take(data, "pulls", "snapshot"), "pulls"))
     )
 
@@ -505,12 +557,22 @@ def load_snapshot(path: str | Path) -> RepoSnapshot:
     Raises SnapshotParseError for unreadable or malformed files and
     SnapshotValidationError when a domain invariant is violated; the
     message names the file and locates the offending PR number or login.
+
+    The cyclic garbage collector is paused while the file is read, decoded and
+    validated, and then enabled again if it was: a snapshot holds no reference
+    cycles, so its passes over the growing snapshot would free nothing.
     """
-    data = read_json(Path(path), "snapshot")
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return snapshot_from_dict(data)
-    except SnapshotError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        data = read_json(Path(path), "snapshot")
+        try:
+            return snapshot_from_dict(data)
+        except SnapshotError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_json(path: Path, what: str) -> Any:
@@ -697,7 +759,7 @@ def _encode_pull(pr: PullRequest) -> dict:
 
 
 def _encode_event(event: Any) -> dict:
-    readers, _, stamp, get = _EVENT_FIELDS[type(event)]
+    readers, _, stamp, get, _ = _EVENT_FIELDS[type(event)]
     values = list(get(event))
     values[stamp] = format_timestamp(values[stamp])
     return dict(zip(readers, values))

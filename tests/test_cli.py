@@ -268,6 +268,27 @@ def test_non_utf8_config_or_lexicon_exits_1_naming_the_file(name, snapshot_file,
     assert f"cannot read {name} file {bad}" in result.stderr
 
 
+def test_a_relative_lexicon_path_is_read_from_the_working_directory(snapshot_file, tmp_path,
+                                                                      monkeypatch, capsys):
+    conf = tmp_path / "conf"
+    conf.mkdir()
+    (conf / "analysis.conf").write_text("lexicon_path = vouch.txt\n", encoding="utf-8")
+    (conf / "vouch.txt").write_text("i can vouch\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    args = ["analyze", "--in", str(snapshot_file), "--config", "conf/analysis.conf",
+            "--out", "r.json", "--format", "json"]
+
+    # not beside the config file
+    assert run(args) == 1
+    assert "cannot read lexicon file vouch.txt" in capsys.readouterr().err
+    assert not Path("r.json").exists()
+
+    # but in the working directory
+    Path("vouch.txt").write_text("on my team\n", encoding="utf-8")
+    assert run(args) == 0
+    assert json.loads(Path("r.json").read_text(encoding="utf-8"))["config"]["lexicon_patterns"] == ["on my team"]
+
+
 _WITHOUT_REQUESTS = """
 import json, sys
 sys.modules["requests"] = None  # any import of requests now raises ImportError

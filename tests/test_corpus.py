@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import enum
+import gc
 import itertools
 import json
 import re
@@ -166,6 +167,43 @@ def test_load_errors_name_the_file(error, tmp_path):
     assert type(err.value) is type(direct.value) is error
     assert str(err.value) == f"{path}: {direct.value}"
     assert type(err.value.__cause__) is error and str(err.value.__cause__) == str(direct.value)
+
+
+@pytest.fixture
+def collector():
+    """Set the cyclic collector on or off for a test; it is put back as it was after."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled: bool) -> None:
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("content, error", [
+    ("valid", None),
+    ("{not json", SnapshotParseError),
+    ("unknown-author", SnapshotValidationError),
+])
+def test_load_pauses_the_collector_and_leaves_it_as_it_found_it(
+    content, error, enabled, collector, rich_dict, tmp_path, monkeypatch
+):
+    if content == "unknown-author":
+        rich_dict["pulls"][0]["author"] = "nobody"
+    path = tmp_path / "snapshot.json"
+    path.write_text(content if error is SnapshotParseError else json.dumps(rich_dict), encoding="utf-8")
+    during = []
+    monkeypatch.setattr(corpus, "validate", lambda snap: during.append(gc.isenabled()) or validate(snap))
+    collector(enabled)
+    if error is None:
+        load_snapshot(path)
+    else:
+        with pytest.raises(error):
+            load_snapshot(path)
+    assert gc.isenabled() is enabled
+    assert during == ([] if error is SnapshotParseError else [False])
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +739,8 @@ def test_other_spellings_decode_to_an_equal_snapshot(rich_dict):
 
 
 def test_well_formed_events_skip_the_checked_readers(rich_dict, monkeypatch):
-    """Structural, not timed: a well-formed event is never located and key-checked."""
+    """Structural, not timed: a well-formed PR is never located and key-checked, and an
+    event in another spelling sends only its own PR through the checked readers."""
     checked = []
     check_keys = corpus._check_keys
 
@@ -709,16 +748,151 @@ def test_well_formed_events_skip_the_checked_readers(rich_dict, monkeypatch):
         checked.append(where)
         return check_keys(data, allowed, where)
 
-    monkeypatch.setattr(corpus, "_check_keys", spy)
-    snapshot_from_dict(rich_dict)
-    assert "pulls[0]" in checked
-    assert [where for where in checked if re.fullmatch(r"PR \d+\.\w+\[\d+\]", where)] == []
+    def pull_locations():
+        return [where for where in checked if re.match(r"pulls\[|PR ", where)]
 
-    # the spy does see an event that needs the checked readers
-    rich_dict["pulls"][2]["issue_comments"][1]["created_at"] = "2022-01-03T02:00:00"
-    with pytest.raises(SnapshotParseError):
-        snapshot_from_dict(rich_dict)
-    assert "PR 3.issue_comments[1]" in checked
+    monkeypatch.setattr(corpus, "_check_keys", spy)
+    snap = snapshot_from_dict(rich_dict)
+    assert "users[0]" in checked
+    assert pull_locations() == []
+
+    # the same instant spelled "+00:00": PR 3 alone takes the checked readers, to the same value
+    rich_dict["pulls"][2]["issue_comments"][1]["created_at"] = "2022-01-03T02:00:00+00:00"
+    assert snapshot_from_dict(rich_dict) == snap
+    located = pull_locations()
+    assert located[0] == "pulls[2]" and "PR 3.issue_comments[1]" in located
+    assert {where.split(".")[0] for where in located} == {"pulls[2]", "PR 3"}
+
+
+def _reference_decoded(data):
+    """``_decoded(data)`` with every PR read by the checked ``corpus._decode_pull``: the
+    steps of snapshot_from_dict in its order, then validate."""
+    where = "snapshot"
+    try:
+        data = corpus._require_dict(data, where)
+        corpus._check_keys(data, ("repo", "users", "pulls"), where)
+        repo = corpus._require_dict(corpus._take(data, "repo", where), "repo")
+        corpus._check_keys(repo, ("owner", "name", "fetched_at"), "repo")
+        users = {}
+        for i, raw in enumerate(corpus._require_list(corpus._take(data, "users", where), "users")):
+            profile = corpus._decode_user(raw, f"users[{i}]")
+            if profile.login in users:
+                raise SnapshotValidationError(f"users[{i}]: duplicate login '{profile.login}'")
+            users[profile.login] = profile
+        raw_pulls = corpus._require_list(corpus._take(data, "pulls", where), "pulls")
+        pulls = tuple(corpus._decode_pull(raw, i) for i, raw in enumerate(raw_pulls))
+        snap = corpus.RepoSnapshot(
+            repo_owner=corpus._str_field(repo, "owner", "repo"),
+            repo_name=corpus._str_field(repo, "name", "repo"),
+            fetched_at=corpus._time_field(repo, "fetched_at", "repo"),
+            pulls=pulls,
+            users=users,
+        )
+        validate(snap)
+        return snap
+    except Exception as exc:  # the exact exception is part of the contract
+        return type(exc), str(exc)
+
+
+def _assert_decodes_as_the_reference(data):
+    decoded, expected = _decoded(data), _reference_decoded(copy.deepcopy(data))
+    assert decoded == expected
+    assert repr(decoded) == repr(expected)  # also the same tzinfo on every timestamp
+
+
+@given(st.sampled_from(_RICH_PATHS), st.sampled_from(MUTANTS))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_single_field_mutations_decode_as_the_checked_path(path, value):
+    data = rich_snapshot_dict()
+    replace_at(data, path, value)
+    _assert_decodes_as_the_reference(data)
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_CLOSED, _OPEN = 0, 7  # the indexes of PR 1 (merged) and PR 8 (open) in the rich fixture
+
+
+def _pop(*names):
+    def apply(pr):
+        for name in names:
+            del pr[name]
+        return pr
+    return apply
+
+
+def _set(**values):
+    return lambda pr: {**pr, **values}
+
+
+def _set_in_event(key: str, name: str, value):
+    def apply(pr):
+        pr[key][0][name] = value
+        return pr
+    return apply
+
+
+def _retype(key: str, kind: type, at: int | None = None):
+    """Put ``pr[key]``, or its item ``at``, into a ``kind`` of the same contents."""
+    def apply(pr):
+        if at is None:
+            pr[key] = kind(pr[key])
+        else:
+            pr[key][at] = kind(pr[key][at])
+        return pr
+    return apply
+
+
+# Each case maps the rich fixture's PR at an index to the PR put in its place.
+_PR_SHAPES = [
+    ("well-formed", _CLOSED, lambda pr: pr),
+    ("13-keys-without-closer", _CLOSED, _pop("closer")),
+    ("13-keys-without-closed_at", _CLOSED, _pop("closed_at")),
+    ("12-keys-of-a-closed-pr", _CLOSED, _pop("closed_at", "closer")),
+    ("null-closer", _CLOSED, _set(closer=None)),
+    ("null-closed_at", _CLOSED, _set(closed_at=None)),
+    ("int-closed_at", _CLOSED, _set(closed_at=7)),
+    ("int-closer", _CLOSED, _set(closer=7)),
+    ("open-null-closed_at-and-closer", _OPEN, _set(closed_at=None, closer=None)),
+    ("open-null-closed_at", _OPEN, _set(closed_at=None)),
+    ("open-null-closer", _OPEN, _set(closer=None)),
+    ("open-with-closed_at", _OPEN, _set(closed_at="2022-01-05T00:00:00Z", closer=None)),
+    ("13-keys-with-an-unknown-field", _OPEN, _set(extra=1)),
+    ("bool-number", _CLOSED, _set(number=True)),
+    ("duplicate-label", _CLOSED, _set(labels=["bug", "bug"])),
+    ("non-string-label", _CLOSED, _set(labels=[7])),
+    ("unhashable-label", _CLOSED, _set(labels=[[]])),
+    ("non-string-file", _CLOSED, _set(files=["a.py", None])),
+    ("no-such-date-created_at", _CLOSED, _set(created_at="2021-02-29T00:00:00Z")),
+    ("no-such-date-closed_at", _CLOSED, _set(closed_at="2022-02-30T00:00:00Z")),
+    ("offset-created_at", _CLOSED, _set(created_at="2022-01-01T00:00:00+00:00")),
+    ("dict-subclass-pr", _CLOSED, _Dict),
+    ("list-subclass-labels", _CLOSED, _retype("labels", _List)),
+    ("list-subclass-files", _CLOSED, _retype("files", _List)),
+    ("list-subclass-events", _CLOSED, _retype("commits", _List)),
+    ("tuple-events", _CLOSED, _retype("commits", tuple)),
+    ("dict-subclass-event", _CLOSED, _retype("commits", _Dict, 0)),
+    ("bool-event-id", _CLOSED, _set_in_event("issue_comments", "id", True)),
+    ("int-event-stamp", _CLOSED, _set_in_event("review_comments", "created_at", 7)),
+    ("no-such-date-event", _CLOSED, _set_in_event("commits", "committed_at", "2023-02-29T00:00:00Z")),
+    ("offset-event-stamp", _CLOSED, _set_in_event("commits", "committed_at", "2022-01-01T12:00:00-00:00")),
+    ("event-without-a-field", _CLOSED, _retype("issue_comments", lambda e: {"id": e["id"]}, 0)),
+    ("event-with-an-unknown-field", _CLOSED, _set_in_event("issue_comments", "extra", 1)),
+]
+
+
+@pytest.mark.parametrize("index, shape", [(i, shape) for _, i, shape in _PR_SHAPES],
+                         ids=[name for name, _, _ in _PR_SHAPES])
+def test_pr_shapes_decode_as_the_checked_path(index, shape):
+    data = rich_snapshot_dict()
+    data["pulls"][index] = shape(data["pulls"][index])
+    _assert_decodes_as_the_reference(data)
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +991,16 @@ def test_parse_timestamp_matches_the_general_path_on_utc_spellings(value):
 
 
 def _decode_event_stamp(text, where):
-    """``text`` as the timestamp of an issue comment, read by the event decoder."""
-    event = {"id": 1, "author": "a", "created_at": text, "body": ""}
-    (decoded,) = corpus._decode_events({"issue_comments": [event]}, "issue_comments", corpus.Comment, where)
-    return decoded.created_at
+    """``text`` as the timestamp of an issue comment, read by snapshot_from_dict from a
+    one-PR snapshot whose window holds every valid timestamp; ``where`` is unused."""
+    data = snapshot([pull(1, "a", "open", "0001-01-01T00:00:00Z", issue_comments=[comment(1, "a", text)])],
+                    [user("a")], fetched="9999-12-31T23:59:59Z")
+    return snapshot_from_dict(data).pulls[0].issue_comments[0].created_at
 
 
 def _parse_event_stamp(text, where):
     """``text`` read by parse_timestamp, located as _decode_event_stamp locates it."""
-    return parse_timestamp(text, f"{where}.issue_comments[0].created_at")
+    return parse_timestamp(text, "PR 1.issue_comments[0].created_at")
 
 
 @pytest.mark.parametrize("value, expected", [
