@@ -193,10 +193,6 @@ class RepoSummary:
     accepted: StratumSummary
     rejected: StratumSummary
 
-    @property
-    def rejected_by_first_timers(self) -> int:
-        return self.rejected.first_timer_prs
-
 
 def summarize(profiles: Iterable[TrustProfile]) -> RepoSummary:
     """Fold per-PR profiles into the per-stratum summary.
@@ -218,24 +214,18 @@ def summarize(profiles: Iterable[TrustProfile]) -> RepoSummary:
 
 
 def _summarize_stratum(profiles: list[TrustProfile]) -> StratumSummary:
-    def count(holds) -> int:
-        return sum(1 for profile in profiles if holds(profile.scores))
-
-    frequencies = [profile.scores["action"].evidence["frequency"] for profile in profiles]
+    scores = [profile.scores for profile in profiles]
+    frequencies = [s["action"].evidence["frequency"] for s in scores]
     return StratumSummary(
         pr_count=len(profiles),
         # fsum is exactly rounded, keeping the mean permutation-invariant
         mean_comment_frequency=(math.fsum(frequencies) / len(frequencies)) if frequencies else None,
-        prs_with_post_feedback_commits=count(
-            lambda s: s["action"].evidence["revision_commits"] > 0
+        prs_with_post_feedback_commits=sum(1 for s in scores if s["action"].evidence["revision_commits"] > 0),
+        prs_with_review_response=sum(1 for s in scores if s["commitment"].evidence["any_response"]),
+        first_timer_prs=sum(1 for s in scores if s["competence"].evidence["prior_pr_count"] == 0),
+        prs_with_shared_org_counterparty=sum(1 for s in scores if s["institutional"].evidence["shared"] >= 1),
+        prs_with_full_acceptance_closer=sum(
+            1 for s in scores if s["personality"].evidence["closer_propensity"] == 1.0
         ),
-        prs_with_review_response=count(lambda s: s["commitment"].evidence["any_response"]),
-        first_timer_prs=count(lambda s: s["competence"].evidence["prior_pr_count"] == 0),
-        prs_with_shared_org_counterparty=count(
-            lambda s: s["institutional"].evidence["shared"] >= 1
-        ),
-        prs_with_full_acceptance_closer=count(
-            lambda s: s["personality"].evidence["closer_propensity"] == 1.0
-        ),
-        prs_with_transferred_flag=count(lambda s: s["transferred"].score == 1.0),
+        prs_with_transferred_flag=sum(1 for s in scores if s["transferred"].score == 1.0),
     )

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Context, Decimal
 from pathlib import Path
 from typing import Any, Iterator
 
 from . import __version__
-from .aggregate import RepoSummary, StratumSummary, TrustProfile
+from .aggregate import RepoSummary, TrustProfile, summarize
 from .corpus import (RepoSnapshot, format_timestamp, indented_items, json_chunks, parse_timestamp,
                      read_json, write_whole)
 from .errors import SnapshotParseError
@@ -121,65 +119,71 @@ def _json_chunks(bundle: ReportBundle) -> Iterator[str]:
         },
         "config": bundle.config,
         "profiles": bundle.profiles,
-        "summary": {
-            "accepted": asdict(bundle.summary.accepted),
-            "rejected": asdict(bundle.summary.rejected),
-        },
+        "summary": asdict(bundle.summary),
     }
     return json_chunks(document, "profiles", _profile_text)
 
 
+# What the summary fold reads of each dimension, an evidence key or None for the score,
+# and the only JSON types prtrust writes there; a float is finite.
+_FOLDED = (
+    ("action", "frequency", (float,), "a finite number"),
+    ("action", "revision_commits", (int,), "an integer"),
+    ("commitment", "any_response", (bool,), "a boolean"),
+    ("competence", "prior_pr_count", (int,), "an integer"),
+    ("institutional", "shared", (int,), "an integer"),
+    ("personality", "closer_propensity", (float, type(None)), "a finite number or null"),
+    ("transferred", None, (float,), "a finite number"),
+)
+_ABSENT = object()
+_KINDS = {dict: "an object", list: "an array"}
+
+
 def _profile_from_dict(raw: dict) -> TrustProfile:
-    """A report profile; its ``available`` and ``coverage`` values must restate its scores."""
+    """A report profile; its ``available`` and ``coverage`` values must restate its scores,
+    and its number and what the summary fold reads must be of the types prtrust writes."""
     pr_number, outcome, dims = raw["pr_number"], raw["outcome"], raw["dimensions"]
+    if type(pr_number) is not int:
+        raise SnapshotParseError(f"malformed report bundle: PR {_spell(pr_number)}: "
+                                 "pr_number must be an integer")
+    if outcome not in ("accepted", "rejected", "pending"):
+        raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: outcome must be accepted, "
+                                 f"rejected or pending, got {_spell(outcome)}")
     stated, scores = [], {}
     for d in DIMENSIONS:  # keys read in the order they are written
         stated.append(dims[d]["available"])
         scores[d] = DimensionScore(dims[d]["score"], dims[d]["evidence"])
+    for d, key, types, expected in _FOLDED:
+        value = scores[d].score if key is None else scores[d].evidence[key]
+        if type(value) not in types or type(value) is float and not math.isfinite(value):
+            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {d}.{key or 'score'} "
+                                     f"must be {expected}, got {_spell(value)}")
     profile = TrustProfile(pr_number, outcome, scores, raw["overall"])
     if stated + [raw["coverage"]] != [s.available for s in scores.values()] + [profile.coverage]:
-        raise SnapshotParseError(
-            f"malformed report bundle: PR {pr_number}: 'available' or 'coverage' "
-            "disagrees with the scores"
-        )
+        raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: 'available' or 'coverage' "
+                                 "disagrees with the scores")
     return profile
 
 
-def _stratum_from_dict(raw: dict, outcome: str, profile_count: int, outcome_count: int) -> StratumSummary:
-    """A summary stratum whose counts are integers from 0 to ``profile_count``, whose
-    ``pr_count`` is ``outcome_count``, the number of profiles with its outcome, and whose
-    other counts are at most its ``pr_count``; its mean is a number that a float holds,
-    or null."""
-    stratum = StratumSummary(**raw)
-    for f in fields(StratumSummary):
-        value = getattr(stratum, f.name)
-        integer = isinstance(value, int) and not isinstance(value, bool)
-        if f.type == "int":  # the counts, pr_count first
-            if not integer:
-                problem = f"must be an integer, got {type(value).__name__}"
-            elif not 0 <= value <= profile_count:
-                problem = f"must be from 0 to the report's {profile_count} profiles, got {value}"
-            elif f.name == "pr_count" and value != outcome_count:
-                problem = f"must be the report's {outcome_count} {outcome} profiles, got {value}"
-            elif value > stratum.pr_count:
-                problem = f"must be at most the stratum's pr_count {stratum.pr_count}, got {value}"
-            else:
-                continue
-        elif value is None or (integer or isinstance(value, float)) and abs(value) <= sys.float_info.max:
-            continue
-        else:  # the mean comment frequency
-            problem = f"must be a finite number or null, got {type(value).__name__}"
-        raise SnapshotParseError(f"malformed report bundle: summary.{outcome}.{f.name} {problem}")
-    return stratum
+def _spell(value) -> str:  # a scalar as JSON writes it; for anything else, its kind
+    return "absent" if value is _ABSENT else _KINDS.get(type(value)) or json.dumps(value)
+
+
+def _require_equal(stated, folded, name: str) -> None:
+    """Raise unless ``stated`` has ``folded``'s keys, and each value its JSON type and value;
+    the error names the first field that differs, in ``folded``'s key order, then ``stated``'s."""
+    if type(stated) is type(folded) is dict:
+        for key in [*folded, *(key for key in stated if key not in folded)]:
+            _require_equal(stated.get(key, _ABSENT), folded.get(key, _ABSENT), f"{name}.{key}")
+    elif type(stated) is not type(folded) or stated != folded:
+        raise SnapshotParseError(f"malformed report bundle: {name} is {_spell(stated)}, "
+                                 f"the profiles give {_spell(folded)}")
 
 
 def _total_mean(summary: RepoSummary) -> float | None:
     """The mean comment frequency over both strata, or None; inf or nan when it overflows."""
-    parts = [
-        (s.pr_count, float(s.mean_comment_frequency))
-        for s in (summary.accepted, summary.rejected)
-        if s.mean_comment_frequency is not None
-    ]
+    parts = [(s.pr_count, s.mean_comment_frequency) for s in (summary.accepted, summary.rejected)
+             if s.mean_comment_frequency is not None]
     total_n = sum(n for n, _ in parts)
     if total_n == 0:
         return None
@@ -187,28 +191,23 @@ def _total_mean(summary: RepoSummary) -> float | None:
 
 
 def bundle_from_dict(data: dict) -> ReportBundle:
+    """A loaded report, whose summary must be the fold of its profiles exactly."""
     try:
         profiles = tuple(_profile_from_dict(raw) for raw in data["profiles"])
-        outcomes = Counter(profile.outcome for profile in profiles)
-        summary = RepoSummary(**{
-            outcome: _stratum_from_dict(data["summary"][outcome], outcome, len(profiles), outcomes[outcome])
-            for outcome in ("accepted", "rejected")
-        })
-        total = _total_mean(summary)
-        if total is not None and not math.isfinite(total):
-            raise SnapshotParseError(
-                "malformed report bundle: the mean comment frequency of both strata together "
-                "overflows a float"
-            )
-        return ReportBundle(
-            repo_owner=data["repo"]["owner"],
-            repo_name=data["repo"]["name"],
-            fetched_at=parse_timestamp(data["repo"]["fetched_at"], "report.repo.fetched_at"),
-            version=data["version"],
-            config=data["config"],
-            profiles=profiles,
-            summary=summary,
-        )
+        if not profiles:
+            raise SnapshotParseError("malformed report bundle: the report holds no profiles")
+        try:  # a stratum's sum of frequencies, or the sum over both strata
+            summary = summarize(profiles)
+            if not math.isfinite(_total_mean(summary) or 0.0):
+                raise OverflowError
+        except OverflowError:
+            raise SnapshotParseError("malformed report bundle: the profiles' comment frequencies sum "
+                                     "past the largest float") from None
+        _require_equal(data["summary"], asdict(summary), "summary")
+        repo = data["repo"]
+        fetched_at = parse_timestamp(repo["fetched_at"], "report.repo.fetched_at")
+        return ReportBundle(repo["owner"], repo["name"], fetched_at, data["version"], data["config"],
+                            profiles, summary)
     except (KeyError, TypeError) as exc:
         raise SnapshotParseError(f"malformed report bundle: {exc!r}") from exc
 

@@ -343,7 +343,3 @@ def test_summary_counts_bounded_by_stratum(rich_snapshot):
         ):
             assert 0 <= getattr(stratum, field) <= stratum.pr_count
 
-
-def test_rejected_by_first_timers_property(rich_snapshot):
-    _, summary = analyze_snapshot(rich_snapshot, AnalysisConfig())
-    assert summary.rejected_by_first_timers == summary.rejected.first_timer_prs

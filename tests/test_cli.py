@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,8 +149,8 @@ def test_fetch_rejects_bad_repo_argument(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, got", [
-    ("pr_count", None, "NoneType"),
-    ("prs_with_review_response", "7", "str"),
+    ("pr_count", None, "is null, the profiles give 15"),
+    ("prs_with_review_response", "7", 'is "7", the profiles give 2'),
 ], ids=["null", "string"])
 def test_summary_of_a_report_with_a_malformed_count_exits_1(snapshot_file, tmp_path, capsys, field, value, got):
     report = tmp_path / "report.json"
@@ -160,15 +161,15 @@ def test_summary_of_a_report_with_a_malformed_count_exits_1(snapshot_file, tmp_p
     capsys.readouterr()
     assert run(["summary", "--in", str(report)]) == 1
     assert capsys.readouterr().err == (
-        f"prtrust: malformed report bundle: summary.accepted.{field} must be an integer, got {got}\n"
+        f"prtrust: malformed report bundle: summary.accepted.{field} {got}\n"
     )
 
 
 @pytest.mark.parametrize("summary, err", [
     ({"accepted": {"pr_count": 25}, "rejected": {"pr_count": 25}},
-     "summary.accepted.pr_count must be the report's 15 accepted profiles, got 25"),
+     "summary.accepted.pr_count is 25, the profiles give 15"),
     ({"rejected": {"first_timer_prs": 8}},
-     "summary.rejected.first_timer_prs must be at most the stratum's pr_count 7, got 8"),
+     "summary.rejected.first_timer_prs is 8, the profiles give 1"),
 ], ids=["pr-count", "count-above-pr-count"])
 def test_summary_of_a_report_whose_counts_disagree_with_its_profiles_exits_1(snapshot_file, tmp_path, capsys,
                                                                              summary, err):
@@ -183,21 +184,53 @@ def test_summary_of_a_report_whose_counts_disagree_with_its_profiles_exits_1(sna
     assert capsys.readouterr() == ("", f"prtrust: malformed report bundle: {err}\n")
 
 
-@pytest.mark.parametrize("accepted, code, err", [
-    ({"mean_comment_frequency": 1e22}, 0, ""),
-    ({"mean_comment_frequency": 1e308}, 1,  # times the stratum's 15 PRs
-     "prtrust: malformed report bundle: the mean comment frequency of both strata together overflows a float\n"),
+@pytest.mark.parametrize("frequency, outcomes, code, err", [
+    (1e22, ("accepted",), 0, ""),
+    (1e308, ("accepted", "rejected"), 1,  # each stratum's sum is finite, their sum is not
+     "prtrust: malformed report bundle: the profiles' comment frequencies sum past the largest float\n"),
 ], ids=["large-mean", "overflowing-total"])
-def test_summary_of_a_report_with_a_large_mean_renders_or_exits_1(snapshot_file, tmp_path, capsys, accepted,
-                                                                  code, err):
+def test_summary_of_a_report_with_a_large_mean_renders_or_exits_1(snapshot_file, tmp_path, capsys, frequency,
+                                                                  outcomes, code, err):
+    """The first profile of each of ``outcomes`` has a comment frequency of ``frequency``,
+    and the summary states the means that the profiles give."""
     report = tmp_path / "report.json"
     assert run(["analyze", "--in", str(snapshot_file), "--out", str(report), "--format", "json"]) == 0
     data = json.loads(report.read_text(encoding="utf-8"))
-    data["summary"]["accepted"].update(accepted)
+    for outcome in outcomes:
+        raw = next(raw for raw in data["profiles"] if raw["outcome"] == outcome)
+        raw["dimensions"]["action"]["evidence"]["frequency"] = frequency
+    for outcome in ("accepted", "rejected"):
+        frequencies = [raw["dimensions"]["action"]["evidence"]["frequency"]
+                       for raw in data["profiles"] if raw["outcome"] == outcome]
+        data["summary"][outcome]["mean_comment_frequency"] = math.fsum(frequencies) / len(frequencies)
     report.write_text(json.dumps(data), encoding="utf-8")
     capsys.readouterr()
     assert run(["summary", "--in", str(report)]) == code
     assert capsys.readouterr().err == err
+
+
+def _pending_banana(data):
+    data["profiles"][7].update(outcome="banana", pr_number="x")
+
+
+def _banana(data):
+    data["profiles"][7]["outcome"] = "banana"
+
+
+@pytest.mark.parametrize("edit, err", [
+    (_pending_banana, 'PR "x": pr_number must be an integer'),
+    (_banana, 'PR 8: outcome must be accepted, rejected or pending, got "banana"'),
+    (lambda data: data["profiles"].clear(), "the report holds no profiles"),
+], ids=["number", "outcome", "no-profiles"])
+def test_summary_of_a_report_with_a_malformed_profile_list_exits_1(snapshot_file, tmp_path, capsys, edit, err):
+    report = tmp_path / "report.json"
+    assert run(["analyze", "--in", str(snapshot_file), "--out", str(report), "--format", "json"]) == 0
+    data = json.loads(report.read_text(encoding="utf-8"))
+    edit(data)
+    report.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["summary", "--in", str(report)]) == 1
+    assert capsys.readouterr() == ("", f"prtrust: malformed report bundle: {err}\n")
 
 
 def test_summary_of_missing_report_exits_1(tmp_path):

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import copy
 import dataclasses
+import itertools
 import json
+import math
 import os
 import stat
+import sys
 from decimal import Decimal
 
 import pytest
@@ -26,7 +32,8 @@ from prtrust import (
     markdown_summary,
     snapshot_from_dict,
 )
-from prtrust.report import CSV_COLUMNS
+from prtrust.aggregate import StratumSummary
+from prtrust.report import CSV_COLUMNS, bundle_from_dict
 
 
 def _bundle(snap, config=None):
@@ -232,67 +239,258 @@ def test_load_bundle_rejects_available_or_coverage_that_disagree_with_the_scores
     )
 
 
-def _valid_summary_value(summary: dict, at: tuple, value) -> bool:
-    """Whether a report whose summary is ``summary`` may hold ``value`` at ``at``, of the
-    MUTANTS: a count must not pass its stratum's pr_count, which must stay the same."""
-    stratum, field = summary[at[1]], at[2]
-    if field == "mean_comment_frequency":
-        return value is None or value == 7
-    return value == 7 and (value == stratum["pr_count"] if field == "pr_count" else value <= stratum["pr_count"])
+def _walk(root, path: tuple):
+    for key in path:
+        root = root[key]
+    return root
+
+
+def _spell(value) -> str:
+    return {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)
+
+
+def _difference(name: str, stated, folded) -> str | None:
+    """The error of a report that states ``stated`` at ``name`` where the fold gives
+    ``folded``, or None when they are equal; ``{}`` in place of an object lacks its first key."""
+    if type(stated) is type(folded) and stated == folded:
+        return None
+    if type(stated) is type(folded) is dict:
+        key = next(iter(folded))
+        return f"malformed report bundle: {name}.{key} is absent, the profiles give {_spell(folded[key])}"
+    return f"malformed report bundle: {name} is {_spell(stated)}, the profiles give {_spell(folded)}"
+
+
+def _summary_mutants(summary: dict):
+    """(mutated summary, error or None) for each summary mutant: each of MUTANTS, 15.0 and
+    true in place of any value, each key removed, and a key added to each object."""
+    for at in json_paths(summary, ("summary",)):
+        original, name = _walk({"summary": summary}, at), ".".join(at)
+        for mutant in (*MUTANTS, 15.0, True):
+            mutated = {"summary": copy.deepcopy(summary)}
+            replace_at(mutated, at, mutant)
+            yield mutated["summary"], _difference(name, mutant, original)
+        if isinstance(original, dict):
+            mutated = {"summary": copy.deepcopy(summary)}
+            _walk(mutated, at)["added"] = 1
+            yield mutated["summary"], f"malformed report bundle: {name}.added is 1, the profiles give absent"
+        if len(at) > 1:
+            mutated = {"summary": copy.deepcopy(summary)}
+            del _walk(mutated, at[:-1])[at[-1]]
+            yield mutated["summary"], (f"malformed report bundle: {name} is absent, "
+                                       f"the profiles give {_spell(original)}")
 
 
 def test_load_bundle_rejects_each_malformed_summary_value_by_name(rich_bundle, tmp_path):
     text = json_text(rich_bundle)
     path = tmp_path / "mutated.json"
-    summary = json.loads(text)["summary"]
-    for at in json_paths(summary, ("summary",)):
-        for mutant in MUTANTS:
-            mutated = json.loads(text)
-            replace_at(mutated, at, mutant)
-            path.write_text(json.dumps(mutated), encoding="utf-8")
-            if len(at) == 3 and _valid_summary_value(summary, at, mutant):
-                markdown_summary(load_bundle(path))
-                continue
-            with pytest.raises(SnapshotParseError, match="^malformed report bundle: ") as err:
-                load_bundle(path)
-            if len(at) == 3:
-                assert str(err.value).startswith(f"malformed report bundle: {'.'.join(at)} must be "), err.value
+    for summary, error in _summary_mutants(json.loads(text)["summary"]):
+        path.write_text(json.dumps({**json.loads(text), "summary": summary}), encoding="utf-8")
+        if error is None:
+            assert markdown_summary(load_bundle(path)) == markdown_summary(rich_bundle)
+            continue
+        with pytest.raises(SnapshotParseError) as err:
+            load_bundle(path)
+        assert str(err.value) == error
 
 
-def _report_with(bundle, tmp_path, **accepted):
-    """A JSON report of ``bundle`` whose accepted stratum holds ``accepted``."""
-    return _edited_report(bundle, tmp_path, lambda data: data["summary"]["accepted"].update(accepted))[0]
+def _state(field, value):
+    """An edit that states ``value`` as the accepted stratum's ``field``."""
+    def edit(data):
+        folded = data["summary"]["accepted"][field]
+        data["summary"]["accepted"][field] = value
+        return f"summary.accepted.{field} is {json.dumps(value)}, the profiles give {json.dumps(folded)}"
+    return edit
 
 
-@pytest.mark.parametrize("accepted, message", [
-    ({"pr_count": 10**400},
-     f"summary.accepted.pr_count must be from 0 to the report's 25 profiles, got {10**400}"),
-    ({"first_timer_prs": -1}, "summary.accepted.first_timer_prs must be from 0 to the report's 25 profiles, got -1"),
-    ({"prs_with_transferred_flag": 26},
-     "summary.accepted.prs_with_transferred_flag must be from 0 to the report's 25 profiles, got 26"),
-    ({"pr_count": 25},
-     "summary.accepted.pr_count must be the report's 15 accepted profiles, got 25"),
-    ({"prs_with_transferred_flag": 16},
-     "summary.accepted.prs_with_transferred_flag must be at most the stratum's pr_count 15, got 16"),
-    ({"mean_comment_frequency": 10**400}, "summary.accepted.mean_comment_frequency must be a finite number or null, got int"),
-    ({"mean_comment_frequency": 1e308},  # times the stratum's 15 PRs
-     "the mean comment frequency of both strata together overflows a float"),
+def _frequencies_of(*outcomes):
+    """An edit that sets the comment frequency of the next profile of each of ``outcomes`` to
+    1e308, and states each mean the profiles then give, where a float holds their sum."""
+    def edit(data):
+        for outcome in outcomes:
+            raw = next(raw for raw in data["profiles"] if raw["outcome"] == outcome
+                       and raw["dimensions"]["action"]["evidence"]["frequency"] != 1e308)
+            raw["dimensions"]["action"]["evidence"]["frequency"] = 1e308
+        for outcome in ("accepted", "rejected"):
+            frequencies = [raw["dimensions"]["action"]["evidence"]["frequency"]
+                           for raw in data["profiles"] if raw["outcome"] == outcome]
+            with contextlib.suppress(OverflowError):
+                data["summary"][outcome]["mean_comment_frequency"] = math.fsum(frequencies) / len(frequencies)
+        return "the profiles' comment frequencies sum past the largest float"
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _state("pr_count", 10**400),
+    _state("first_timer_prs", -1),
+    _state("prs_with_transferred_flag", 26),
+    _state("pr_count", 25),
+    _state("prs_with_transferred_flag", 16),
+    _state("mean_comment_frequency", 10**400),
+    _frequencies_of("accepted", "rejected"),  # each stratum's sum is finite, their sum is not
+    _frequencies_of("accepted", "accepted"),
 ], ids=["huge-count", "negative-count", "count-above-profiles", "pr-count-not-the-outcome-count",
-        "count-above-pr-count", "huge-integer-mean", "overflowing-total"])
-def test_load_bundle_rejects_a_summary_that_cannot_render(rich_bundle, tmp_path, accepted, message):
+        "count-above-pr-count", "huge-integer-mean", "overflowing-total", "overflowing-stratum"])
+def test_load_bundle_rejects_a_summary_that_cannot_render(rich_bundle, tmp_path, edit):
+    path, message = _edited_report(rich_bundle, tmp_path, edit)
     with pytest.raises(SnapshotParseError) as err:
-        load_bundle(_report_with(rich_bundle, tmp_path, **accepted))
+        load_bundle(path)
     assert str(err.value) == f"malformed report bundle: {message}"
 
 
 @pytest.mark.parametrize("mean", [1e22, 1e300, 10**300, 1.7976931348623157e308, -1e22],
                          ids=["1e22", "1e300", "int-10**300", "float-max", "minus-1e22"])
 def test_any_mean_that_load_bundle_accepts_renders(tmp_path, mean):
+    """The one accepted profile's frequency is ``mean`` as a float, and the summary states
+    ``mean``: it renders in full, but an integer is not the float the fold gives."""
     one_accepted = snapshot_from_dict(snapshot([pull(1, "dev", closer="boss")],
                                                [user("dev"), user("boss", permission="admin")]))
-    bundle = load_bundle(_report_with(_bundle(one_accepted), tmp_path, mean_comment_frequency=mean))
-    row = next(line for line in markdown_summary(bundle).splitlines() if line.startswith("| Mean"))
+
+    def edit(data):
+        data["profiles"][0]["dimensions"]["action"]["evidence"]["frequency"] = float(mean)
+        data["summary"]["accepted"]["mean_comment_frequency"] = mean
+
+    path = _edited_report(_bundle(one_accepted), tmp_path, edit)[0]
+    if type(mean) is int:
+        with pytest.raises(SnapshotParseError) as err:
+            load_bundle(path)
+        assert str(err.value) == ("malformed report bundle: summary.accepted.mean_comment_frequency "
+                                  f"is {mean}, the profiles give {float(mean)!r}")
+        return
+    row = next(line for line in markdown_summary(load_bundle(path)).splitlines() if line.startswith("| Mean"))
     assert row.split(" | ")[1] == f"{Decimal(repr(mean)):f}.000000"  # the shortest repr, in full
+
+
+# Where each value that the summary fold reads sits in a report profile, and the JSON
+# types prtrust writes there; a float is finite.
+_FOLD_INPUTS = {
+    "outcome": (("outcome",), ()),
+    "action.frequency": (("dimensions", "action", "evidence", "frequency"), (float,)),
+    "action.revision_commits": (("dimensions", "action", "evidence", "revision_commits"), (int,)),
+    "commitment.any_response": (("dimensions", "commitment", "evidence", "any_response"), (bool,)),
+    "competence.prior_pr_count": (("dimensions", "competence", "evidence", "prior_pr_count"), (int,)),
+    "institutional.shared": (("dimensions", "institutional", "evidence", "shared"), (int,)),
+    "personality.closer_propensity": (("dimensions", "personality", "evidence", "closer_propensity"),
+                                      (float, type(None))),
+    "transferred.score": (("dimensions", "transferred", "score"), (float,)),
+}
+_EVIDENCE_MUTANTS = (*MUTANTS, math.nan, math.inf, -math.inf)
+
+
+def _evidence_mutants(data: dict):
+    """(PR, field, whether prtrust could write the value) as ``data`` holds each fold input of
+    each profile set to each of _EVIDENCE_MUTANTS in turn; it ends as it began."""
+    for raw in data["profiles"]:
+        for field, ((*path, key), types) in _FOLD_INPUTS.items():
+            holder = raw
+            for step in path:
+                holder = holder[step]
+            original = holder[key]
+            for mutant in _EVIDENCE_MUTANTS:
+                holder[key] = mutant
+                finite = type(mutant) is not float or math.isfinite(mutant)
+                yield raw["pr_number"], field, type(mutant) in types and finite
+            holder[key] = original
+
+
+def test_load_bundle_rejects_each_malformed_fold_input_by_pr_and_name(rich_bundle):
+    data, rejected = json.loads(json_text(rich_bundle)), 0
+    for number, field, writable in _evidence_mutants(data):
+        try:
+            markdown_summary(bundle_from_dict(data))
+        except SnapshotParseError as err:
+            named = "summary." if writable else f"PR {number}: {field} must be "
+            assert str(err).startswith(f"malformed report bundle: {named}"), (number, field, err)
+            rejected += 1
+        else:
+            assert writable, (number, field)
+    assert rejected > 1500
+
+
+@pytest.mark.parametrize("edit, error", [
+    ({"outcome": "banana"}, 'PR 8: outcome must be accepted, rejected or pending, got "banana"'),
+    ({"pr_number": "x"}, 'PR "x": pr_number must be an integer'),
+    ({"pr_number": True}, "PR true: pr_number must be an integer"),
+    ({"pr_number": 8.0}, "PR 8.0: pr_number must be an integer"),
+    ({"outcome": "banana", "pr_number": "x"}, 'PR "x": pr_number must be an integer'),
+], ids=["outcome", "string-number", "bool-number", "float-number", "both"])
+def test_load_bundle_rejects_a_profile_with_a_bad_outcome_or_number(rich_bundle, tmp_path, edit, error):
+    path, _ = _edited_report(rich_bundle, tmp_path, lambda data: data["profiles"][7].update(edit))
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(path)
+    assert str(err.value) == f"malformed report bundle: {error}"
+
+
+@pytest.mark.parametrize("at, error", [
+    (("summary", "accepted", "pr_count"), "summary.accepted.pr_count is an array, the profiles give 15"),
+    (("profiles", 2, "dimensions", "action", "evidence", "frequency"),
+     "PR 3: action.frequency must be a finite number, got an array"),
+], ids=["summary", "evidence"])
+def test_load_bundle_names_a_value_nested_as_deep_as_a_report_loads(rich_bundle, tmp_path, at, error):
+    """The deepest array that the report reader takes, in place of a value: the error that
+    names the field says what kind of value it holds rather than writing it out."""
+    data, path = json.loads(json_text(rich_bundle)), tmp_path / "deep.json"
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        replace_at(data, at, "nested here")
+        text = json.dumps(data).replace('"nested here"', "[" * depth + "]" * depth)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SnapshotParseError) as err:
+            load_bundle(path)
+        if "nested too deeply" not in str(err.value):
+            break
+    assert str(err.value) == f"malformed report bundle: {error}"
+
+
+def test_load_bundle_rejects_a_report_with_no_profiles(rich_bundle, tmp_path):
+    path, _ = _edited_report(rich_bundle, tmp_path, lambda data: data["profiles"].clear())
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(path)
+    assert str(err.value) == "malformed report bundle: the report holds no profiles"
+
+
+def _summary_rules_of_the_range_ladder(data: dict) -> bool:
+    """Whether ``data``'s summary passes the range rules that load_bundle kept before it
+    folded the profiles: each stratum holds exactly the summary fields; a count is an integer
+    from 0 to the number of profiles and at most its stratum's pr_count, which is the number
+    of profiles with its outcome; a mean is null or a number a float holds; and the mean over
+    both strata does not overflow."""
+    profiles, parts, fields = data["profiles"], [], sorted(f.name for f in dataclasses.fields(StratumSummary))
+    for outcome in ("accepted", "rejected"):
+        stratum = data["summary"][outcome]
+        if type(stratum) is not dict or sorted(stratum) != fields:
+            return False
+        for key, value in stratum.items():
+            integer = type(value) is int
+            if key == "mean_comment_frequency":
+                number = integer or type(value) is float
+                if value is not None and not (number and abs(value) <= sys.float_info.max):
+                    return False
+            elif not integer or not 0 <= value <= len(profiles) or value > stratum["pr_count"]:
+                return False
+        if stratum["pr_count"] != sum(1 for raw in profiles if raw["outcome"] == outcome):
+            return False
+        if stratum["mean_comment_frequency"] is not None:
+            parts.append((stratum["pr_count"], float(stratum["mean_comment_frequency"])))
+    total_n = sum(n for n, _ in parts)
+    return total_n == 0 or math.isfinite(sum(n * m for n, m in parts) / total_n)
+
+
+def test_load_bundle_accepts_no_mutant_that_the_range_ladder_rejected(rich_bundle):
+    """Folding the profiles only narrows what loads: of the summary and fold-input mutants,
+    each report that loads passes the range rules that the fold replaced."""
+    data = json.loads(json_text(rich_bundle))
+    summaries = (summary for summary, _ in _summary_mutants(data["summary"]))
+    reports = itertools.chain(({**data, "summary": summary} for summary in summaries),
+                              (data for _ in _evidence_mutants(data)))
+    outcomes = collections.Counter()
+    for report in reports:
+        try:
+            bundle_from_dict(report)
+        except SnapshotParseError:
+            outcomes["rejected"] += 1
+            continue
+        assert _summary_rules_of_the_range_ladder(report), report["summary"]
+        outcomes["loaded"] += 1
+    assert outcomes["loaded"] > 0 and outcomes["rejected"] > 1500
 
 
 def test_format_score_writes_every_finite_float_in_full():
