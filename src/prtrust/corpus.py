@@ -739,7 +739,8 @@ def _encode_user(profile: UserProfile) -> dict:
     return out
 
 
-def _encode_pull(pr: PullRequest) -> dict:
+def _pull_head(pr: PullRequest) -> dict:
+    """The JSON-dict form of a PR's fields that precede its event lists."""
     out: dict[str, Any] = {
         "number": pr.number,
         "author": pr.author,
@@ -753,6 +754,11 @@ def _encode_pull(pr: PullRequest) -> dict:
     out["labels"] = sorted(pr.labels)
     out["contribution_kind"] = pr.contribution_kind
     out["files"] = list(pr.files)
+    return out
+
+
+def _encode_pull(pr: PullRequest) -> dict:
+    out = _pull_head(pr)
     for key, _ in _EVENT_LISTS:
         out[key] = [_encode_event(event) for event in getattr(pr, key)]
     return out
@@ -763,6 +769,39 @@ def _encode_event(event: Any) -> dict:
     values = list(get(event))
     values[stamp] = format_timestamp(values[stamp])
     return dict(zip(readers, values))
+
+
+# An event as indented_json writes it in a saved PR's event list: per class, its keys at
+# their indentation with a %s per value, its getter, its timestamp's position and its width.
+_EVENT_SEPARATOR = ",\n        "
+_EVENT_TEMPLATES = {
+    cls: ("{\n          " + ",\n          ".join(_encode_str(name) + ": %s" for name in readers)
+          + "\n        }", get, stamp, len(readers))
+    for cls, (readers, _, stamp, get, _) in _EVENT_FIELDS.items()
+}
+
+
+def _event_items(events: tuple) -> str:
+    """The items of a non-empty event list as indented_json writes them in a saved PR:
+    all values encoded in one call and filled into the class's template in one."""
+    kind, *mixed = set(map(type, events))
+    if mixed:  # a list built in code that mixes classes: each event from its own template
+        return _EVENT_SEPARATOR.join(map(_event_items, zip(events)))
+    template, get, stamp, width = _EVENT_TEMPLATES[kind]
+    values = [value for event in events for value in get(event)]
+    values[stamp::width] = map(format_timestamp, values[stamp::width])
+    return _EVENT_SEPARATOR.join([template] * len(events)) % tuple(indented_items(values, "\n          "))
+
+
+def _pull_text(pr: PullRequest) -> str:
+    """``indented_json(_encode_pull(pr), "\\n    ")``, each event list written by _event_items."""
+    head = _pull_head(pr)
+    texts = indented_items(head.values(), "\n      ")
+    parts = [_encode_str(key) + ": " + text for key, text in zip(head, texts)]
+    for key, _ in _EVENT_LISTS:
+        events = getattr(pr, key)
+        parts.append(f'"{key}": ' + ("[\n        " + _event_items(events) + "\n      ]" if events else "[]"))
+    return "{\n      " + ",\n      ".join(parts) + "\n    }"
 
 
 def _snapshot_document(snapshot: RepoSnapshot) -> dict:
@@ -868,6 +907,4 @@ def write_whole(path: str | Path, chunks: Iterable[str], mode: int = 0o666) -> N
 
 def save_snapshot(snapshot: RepoSnapshot, path: str | Path) -> None:
     """Write a snapshot file, one chunk per PR; the output reloads to a structurally equal value."""
-    chunks = json_chunks(_snapshot_document(snapshot), "pulls",
-                         lambda pr: indented_json(_encode_pull(pr), "\n    "))
-    write_whole(path, chunks)
+    write_whole(path, json_chunks(_snapshot_document(snapshot), "pulls", _pull_text))

@@ -135,13 +135,16 @@ _FOLDED = (
     ("personality", "closer_propensity", (float, type(None)), "a finite number or null"),
     ("transferred", None, (float,), "a finite number"),
 )
+# A profile's scores, named as errors name them, in the order they are written.
+_SCORES = ("overall", *(f"{d}.score" for d in DIMENSIONS))
 _ABSENT = object()
 _KINDS = {dict: "an object", list: "an array"}
 
 
 def _profile_from_dict(raw: dict) -> TrustProfile:
     """A report profile; its ``available`` and ``coverage`` values must restate its scores,
-    and its number and what the summary fold reads must be of the types prtrust writes."""
+    and its number, its scores and what the summary fold reads must be of the types prtrust
+    writes."""
     pr_number, outcome, dims = raw["pr_number"], raw["outcome"], raw["dimensions"]
     if type(pr_number) is not int:
         raise SnapshotParseError(f"malformed report bundle: PR {_spell(pr_number)}: "
@@ -153,16 +156,20 @@ def _profile_from_dict(raw: dict) -> TrustProfile:
     for d in DIMENSIONS:  # keys read in the order they are written
         stated.append(dims[d]["available"])
         scores[d] = DimensionScore(dims[d]["score"], dims[d]["evidence"])
+    for name, value in zip(_SCORES, (raw["overall"], *[s.score for s in scores.values()])):
+        if value is not None and (type(value) is not float or not math.isfinite(value)):
+            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {name} must be a finite "
+                                     f"number or null, got {_spell(value)}")
     for d, key, types, expected in _FOLDED:
         value = scores[d].score if key is None else scores[d].evidence[key]
         if type(value) not in types or type(value) is float and not math.isfinite(value):
             raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {d}.{key or 'score'} "
                                      f"must be {expected}, got {_spell(value)}")
-    profile = TrustProfile(pr_number, outcome, scores, raw["overall"])
-    if stated + [raw["coverage"]] != [s.available for s in scores.values()] + [profile.coverage]:
+    available = [s.available for s in scores.values()]
+    if stated != available or raw["coverage"] != available.count(True):  # the profile's coverage
         raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: 'available' or 'coverage' "
                                  "disagrees with the scores")
-    return profile
+    return TrustProfile(pr_number, outcome, scores, raw["overall"])
 
 
 def _spell(value) -> str:  # a scalar as JSON writes it; for anything else, its kind

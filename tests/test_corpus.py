@@ -36,6 +36,9 @@ from conftest import (
 )
 from prtrust import (
     Comment,
+    CommitEvent,
+    Review,
+    ReviewRequest,
     SnapshotError,
     SnapshotParseError,
     SnapshotValidationError,
@@ -1218,3 +1221,116 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_indented_json_matches_json_dumps(value):
     assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+# ---------------------------------------------------------------------------
+# The event templates of save_snapshot
+# ---------------------------------------------------------------------------
+
+_UTC_NOON = datetime(2022, 1, 5, 12, tzinfo=timezone.utc)
+_EVENT_KEYS = ("commits", "issue_comments", "review_comments", "reviews", "review_requests")
+
+
+def _events(key: str, count: int, when: datetime = _UTC_NOON, text: str = "x") -> tuple:
+    """``count`` events built in code for the event list ``key``, each holding ``text``."""
+    make = {
+        "commits": lambda i: CommitEvent(f"{i:x}{text}", text, when),
+        "issue_comments": lambda i: Comment(i, text, when, f"{text} {i}"),
+        "review_comments": lambda i: Comment(1000 + i, text, when, text * 2),
+        "reviews": lambda i: Review(2000 + i, text, when, text, f"{i}{text}"),
+        "review_requests": lambda i: ReviewRequest(f"{text}{i}", when),
+    }[key]
+    return tuple(make(i) for i in range(count))
+
+
+def _with_pull(snap, **changes):
+    """``snap`` with its first PR changed by ``changes``; a save does not validate it."""
+    return dataclasses.replace(snap, pulls=(dataclasses.replace(snap.pulls[0], **changes),) + snap.pulls[1:])
+
+
+def _assert_saved_as_json_dumps(snap, path) -> None:
+    save_snapshot(snap, path)
+    expected = json.dumps(snapshot_to_dict(snap), indent=2, ensure_ascii=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8", "backslashreplace")  # as write_whole writes it
+
+
+@pytest.mark.parametrize("text", ["%", "%s", "%(x)s %d %%", "{", "}", "{}", '"', '\\"', "\ud83d",
+                                  "a \udfff b"])
+def test_template_syntax_in_values_is_saved_as_written(rich_snapshot, text, tmp_path):
+    """Values are filled in by %, which reads no format in them: every string of every
+    event class, the PR's own strings and a login hold ``text``."""
+    events = {key: _events(key, 2, text=text) for key in _EVENT_KEYS}
+    _assert_saved_as_json_dumps(_with_pull(rich_snapshot, author=text, labels=frozenset({text}), **events),
+                                tmp_path / "snap.json")
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("key", _EVENT_KEYS)
+def test_event_lists_of_every_length_are_saved_as_json_dumps(rich_snapshot, key, count, tmp_path):
+    changes = {other: _events(other, 2) for other in _EVENT_KEYS}
+    changes[key] = _events(key, count)
+    _assert_saved_as_json_dumps(_with_pull(rich_snapshot, **changes), tmp_path / "snap.json")
+    no_events = {other: () for other in _EVENT_KEYS}
+    _assert_saved_as_json_dumps(_with_pull(rich_snapshot, **{**no_events, key: _events(key, count)}),
+                                tmp_path / "snap.json")
+
+
+_JST = timezone(timedelta(hours=9))
+
+
+@pytest.mark.parametrize("events", [
+    {"issue_comments": (Comment(True, "alice", _UTC_NOON, "a bool id"),)},
+    {"reviews": (Review(_Level.HIGH, "bob", _UTC_NOON, "approved", "an int subclass id"),)},
+    {"review_comments": (Comment(3, _Text("é✓"), _UTC_NOON, _Text("a str subclass")),)},
+    {"commits": (CommitEvent(_Text("ab12"), "alice", _UTC_NOON.astimezone(_JST)),)},
+    {"review_requests": (ReviewRequest("carol", datetime(2022, 1, 5, 21, tzinfo=_JST)),
+                         ReviewRequest(_Text("dan"), _UTC_NOON))},
+    # a list that mixes classes is written event by event, each from its own class
+    {"issue_comments": (Comment(4, "alice", _UTC_NOON, "one"), Review(5, "bob", _UTC_NOON, "approved", ""),
+                        Comment(6, "alice", _UTC_NOON, "two"))},
+], ids=["bool-id", "int-subclass-id", "str-subclass", "jst-commit", "jst-request", "mixed-classes"])
+def test_events_built_in_code_are_saved_as_json_dumps(rich_snapshot, events, tmp_path):
+    _assert_saved_as_json_dumps(_with_pull(rich_snapshot, **events), tmp_path / "snap.json")
+
+
+def test_a_list_holding_a_non_event_raises_as_its_dict_form_does(rich_snapshot, tmp_path):
+    snap = _with_pull(rich_snapshot, issue_comments=(Comment(1, "alice", _UTC_NOON, "hi"), "not an event"))
+    with pytest.raises(KeyError) as expected:
+        snapshot_to_dict(snap)
+    with pytest.raises(KeyError) as raised:
+        save_snapshot(snap, tmp_path / "snap.json")
+    assert raised.value.args == expected.value.args
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", _EVENT_KEYS)
+def test_a_naive_datetime_in_any_event_class_is_not_saved(rich_snapshot, key, tmp_path):
+    # the naive event follows two aware ones of its class
+    events = _events(key, 2) + _events(key, 1, when=datetime(2022, 1, 1, 12), text="y")
+    snap = _with_pull(rich_snapshot, **{key: events})
+    with pytest.raises(SnapshotValidationError) as expected:
+        snapshot_to_dict(snap)
+    with pytest.raises(SnapshotValidationError) as raised:
+        save_snapshot(snap, tmp_path / "snap.json")
+    assert str(raised.value) == str(expected.value) == "timestamp '2022-01-01T12:00:00' lacks a UTC offset"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _indented_items_calls(monkeypatch, tmp_path, comments: int) -> int:
+    users = [user("alice"), user("bob")]
+    thread = [comment(k, "bob", iso(0, minutes=k)) for k in range(comments)]
+    pulls = [pull(1, "alice", closer="bob", issue_comments=thread)]
+    snap = snapshot_from_dict(snapshot(pulls, users))
+    calls, encode = [], corpus.indented_items
+    monkeypatch.setattr(corpus, "indented_items",
+                        lambda values, newline: calls.append(1) or encode(values, newline))
+    save_snapshot(snap, tmp_path / f"{comments}.json")
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_a_save_encodes_each_event_list_in_a_fixed_number_of_calls(monkeypatch, tmp_path):
+    # one encoding call per event would make the count grow with the comments
+    few, many = (_indented_items_calls(monkeypatch, tmp_path, n) for n in (5, 200))
+    assert few == many
+

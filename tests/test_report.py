@@ -420,6 +420,55 @@ def test_load_bundle_rejects_a_profile_with_a_bad_outcome_or_number(rich_bundle,
     assert str(err.value) == f"malformed report bundle: {error}"
 
 
+@pytest.mark.parametrize("at, value, error", [
+    (("overall",), "x", 'overall must be a finite number or null, got "x"'),
+    (("dimensions", "action", "score"), "high", 'action.score must be a finite number or null, got "high"'),
+    (("overall",), 1, "overall must be a finite number or null, got 1"),
+    (("dimensions", "competence", "score"), True,
+     "competence.score must be a finite number or null, got true"),
+    (("dimensions", "personality", "score"), math.inf,
+     "personality.score must be a finite number or null, got Infinity"),
+    (("dimensions", "commitment", "score"), [0.5],
+     "commitment.score must be a finite number or null, got an array"),
+    (("dimensions", "transferred", "score"), "1.0",
+     'transferred.score must be a finite number or null, got "1.0"'),
+], ids=["overall-string", "action-string", "overall-int", "competence-bool", "personality-inf",
+        "commitment-array", "transferred-string"])
+def test_load_bundle_rejects_a_score_that_is_not_a_finite_float_or_null(
+    rich_bundle, tmp_path, at, value, error
+):
+    path, _ = _edited_report(rich_bundle, tmp_path, lambda data: replace_at(data["profiles"][2], at, value))
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(path)
+    assert str(err.value) == f"malformed report bundle: PR 3: {error}"
+
+
+def test_every_score_that_load_bundle_accepts_renders_as_csv(rich_bundle):
+    """Each score and overall of each profile set to each mutant: the report is rejected with
+    a message naming its PR and field, or it loads and its CSV renders."""
+    data, rendered = json.loads(json_text(rich_bundle)), 0
+    for raw in data["profiles"]:
+        holders = [(raw, "overall", "overall")]
+        holders += [(dim, "score", f"{d}.score") for d, dim in raw["dimensions"].items()]
+        for holder, key, name in holders:
+            original = holder[key]
+            for mutant in (*MUTANTS, math.nan, math.inf, -math.inf, 1, True, 0.25, original):
+                holder[key] = mutant
+                finite = type(mutant) is float and math.isfinite(mutant)
+                try:
+                    csv_text(bundle_from_dict(data))
+                except SnapshotParseError as err:
+                    assert str(err).startswith("malformed report bundle: "), err
+                    if mutant is not None and not finite:
+                        assert str(err).startswith(f"malformed report bundle: PR {raw['pr_number']}: {name} "
+                                                   "must be a finite number or null, got "), err
+                else:
+                    assert mutant is None or finite, (raw["pr_number"], name, mutant)
+                    rendered += 1
+            holder[key] = original
+    assert rendered > 7 * len(data["profiles"])  # each original value, and more
+
+
 @pytest.mark.parametrize("at, error", [
     (("summary", "accepted", "pr_count"), "summary.accepted.pr_count is an array, the profiles give 15"),
     (("profiles", 2, "dimensions", "action", "evidence", "frequency"),
