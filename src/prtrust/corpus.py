@@ -59,6 +59,14 @@ _CANONICAL = re.compile(_DATE_TIME + "Z", re.ASCII).fullmatch
 def parse_timestamp(value: Any, where: str) -> datetime:
     """Parse a timestamp of the module's grammar into an aware UTC datetime (second
     precision); one with no offset, or whose UTC instant leaves years 1-9999, is rejected."""
+    # The canonical spelling first, read as _fast_pull reads it inline: the two must agree,
+    # and both must give what the general path below gives. A date that does not exist
+    # falls through, so the general path names it.
+    if isinstance(value, str) and _CANONICAL(value):
+        try:
+            return datetime.fromisoformat(value[:-1] + "+00:00")
+        except ValueError:
+            pass
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
     match = _TIMESTAMP.fullmatch(value.strip())

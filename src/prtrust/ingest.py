@@ -11,15 +11,23 @@ itself and starts no thread.
 Cache layout: one file per response, {cache_dir}/{sha256(url)}.json,
 holding {"url", "retrieved_at", "link_next", "etag", "body"}. Entries are
 written through a unique temporary file and renamed into place, so
-processes may share a cache directory; an entry that is unreadable, not
+processes may share a cache directory. An entry is read as bytes, in any
+UTF encoding JSON allows. One that is missing or unreadable (a directory,
+an empty or truncated file, bytes that are not JSON or nest too deep), not
 in this layout, whose etag is not a string, whose link_next is neither a
-string nor null, or whose retrieval time does not parse is a miss. A warm
-cache answers every request with a 304 revalidation, and the recorded
-retrieval times are reused, so re-runs produce byte-identical snapshots.
+string nor null, or whose retrieval time does not parse (a date that does
+not exist included) is a miss: it is asked for without If-None-Match and
+the answer replaces it (over a directory the rename fails, and the fetch
+with it). Only answers with an ETag are cached, so a 404 or 403 is asked
+for again on every run. A warm cache answers every other request with a
+304 revalidation, and the recorded retrieval times are reused, so re-runs
+produce byte-identical snapshots.
 
 A payload that does not have the shape GitHub documents (a missing id, a
 field of the wrong type) aborts the fetch with PartialFetchError, which
-names the PRs completed before it.
+names the PRs completed before it. So does a page whose next link, live or
+cached, leads back to a page of the same listing: a FetchError names that
+page, and a loop in the PR listing itself raises it unwrapped.
 """
 
 from __future__ import annotations
@@ -83,7 +91,8 @@ _VERDICTS = {verdict.upper(): verdict for verdict in REVIEW_VERDICTS}
 
 _GHOST = "ghost"          # GitHub's placeholder for deleted accounts
 
-_ENVELOPE_KEYS = ("url", "retrieved_at", "link_next", "etag", "body")
+_ENVELOPE_KEYS = frozenset(("url", "retrieved_at", "link_next", "etag", "body"))
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no newline translation on Windows
 
 
 @dataclass(frozen=True)
@@ -120,9 +129,10 @@ class GitHubClient:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._token = token
-        self._cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
-        if self._cache_dir is not None:
-            os.makedirs(self._cache_dir, exist_ok=True)
+        self._cache_prefix = None
+        if cache_dir is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+            self._cache_prefix = os.path.join(os.fspath(cache_dir), "")
         if session is None:
             import requests  # only a fetch over the network needs it
 
@@ -135,10 +145,9 @@ class GitHubClient:
     # -- cache ------------------------------------------------------------
 
     def _cache_path(self, url: str) -> str | None:
-        if self._cache_dir is None:
+        if self._cache_prefix is None:
             return None
-        digest = hashlib.sha256(url.encode("utf-8")).hexdigest()
-        return os.path.join(self._cache_dir, digest + ".json")
+        return self._cache_prefix + hashlib.sha256(url.encode("utf-8")).hexdigest() + ".json"
 
     def _read_cached(self, url: str) -> dict | None:
         """The cached envelope with ``retrieved_at`` parsed, or None on a miss."""
@@ -146,11 +155,10 @@ class GitHubClient:
         if path is None:
             return None
         try:
-            with open(path, "rb") as handle:
-                envelope = json.load(handle)
+            envelope = json.loads(_read_file(path))  # bytes: UTF-8, -16 or -32, as JSON allows
         except (OSError, ValueError, RecursionError):
             return None
-        if (not isinstance(envelope, dict) or any(key not in envelope for key in _ENVELOPE_KEYS)
+        if (not isinstance(envelope, dict) or not envelope.keys() >= _ENVELOPE_KEYS
                 or not isinstance(envelope["etag"], str)
                 or not isinstance(envelope["link_next"], (str, type(None)))):
             return None
@@ -256,10 +264,15 @@ class GitHubClient:
             retries += 1
 
     def get_paginated(self, url: str, stop_after: int | None = None) -> list:
-        """Collect list items across pages, following rel="next" links."""
+        """Collect list items across pages, following rel="next" links; a link back to a
+        page already fetched, live or cached, is a FetchError naming that page."""
         items: list = []
+        fetched: set[str] = set()
         next_url: str | None = url
         while next_url:
+            if next_url in fetched:
+                raise FetchError(f"pagination of {url} loops back to {next_url}, a page already fetched")
+            fetched.add(next_url)
             payload, next_url = self.get(next_url)
             if not isinstance(payload, list):
                 raise FetchError(f"expected a JSON array from {url}")
@@ -267,6 +280,19 @@ class GitHubClient:
             if stop_after is not None and len(items) >= stop_after:
                 break
         return items
+
+
+def _read_file(path: str) -> bytes:
+    """The whole of a file, read into buffers sized by its length until a read comes short."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        size = os.fstat(fd).st_size + 1  # a byte more than the file holds: one read reaches its end
+        chunks = [os.read(fd, size)]
+        while len(chunks[-1]) == size:  # the file grew after fstat
+            chunks.append(os.read(fd, size))
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 def _network_error() -> type[Exception]:

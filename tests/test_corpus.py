@@ -1086,6 +1086,79 @@ def test_fragment_product_parses_as_the_reference_reads_it():
         assert _outcome(parse_timestamp, text) == _outcome(_reference_parse_timestamp, text), text
 
 
+_GENERAL_GRAMMAR = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
+                              r"([Zz]|[+-][0-9]{2}:[0-5][0-9])?", re.ASCII)
+
+
+def _general_parse_timestamp(value, where):
+    """The general path of the timestamp grammar alone: the regex, ``fromisoformat``
+    and ``astimezone``, with no shortcut for the canonical spelling. A fraction is
+    dropped: the values have second precision."""
+    if not isinstance(value, str):
+        raise SnapshotParseError(f"{where}: timestamp must be a string, got {type(value).__name__}")
+    match = _GENERAL_GRAMMAR.fullmatch(value.strip())
+    if match is None:
+        raise SnapshotParseError(f"{where}: invalid timestamp {value!r}")
+    moment, offset = match.groups()
+    try:
+        parsed = datetime.fromisoformat(moment + ("+00:00" if offset in ("Z", "z") else offset or ""))
+    except ValueError as exc:
+        raise SnapshotParseError(f"{where}: invalid timestamp {value!r}") from exc
+    if parsed.tzinfo is None:
+        raise SnapshotParseError(f"{where}: timestamp {value!r} lacks a UTC offset")
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise SnapshotParseError(f"{where}: timestamp {value!r} is out of range") from exc
+
+
+class _Str(str):
+    pass
+
+
+_CANONICAL_STAMPS = ["0001-01-01T00:00:00Z", "1970-01-01T00:00:00Z", "2022-01-01T12:34:56Z",
+                     "2024-02-29T23:59:59Z", "2000-02-29T00:00:00Z", "9999-12-31T23:59:59Z"]
+_IMPOSSIBLE_STAMPS = ["2023-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2022-02-30T00:00:00Z",
+                      "2022-04-31T00:00:00Z", "0000-01-01T00:00:00Z", "2022-00-10T00:00:00Z",
+                      "2022-13-01T00:00:00Z", "2022-01-00T00:00:00Z", "2022-01-32T00:00:00Z",
+                      "2022-01-01T24:00:00Z", "2022-01-01T23:60:00Z", "2022-01-01T23:59:60Z",
+                      "2016-12-31T23:59:60Z", "9999-99-99T99:99:99Z"]
+_NEAR_CANONICAL_STAMPS = ["2022-01-01T00:00:00z", "2022-01-01T00:00:00.5Z", "2022-01-01T00:00:00.999999z",
+                          "2022-01-01T00:00:00+00:00", "2022-01-01T00:00:00-00:00",
+                          "2022-01-01T00:30:00+01:00", "2022-01-01T23:30:00-08:45",
+                          "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00",
+                          "2023-02-29T00:00:00+00:00", "2022-01-01T00:00:00.5+05:30",
+                          " 2022-01-01T00:00:00Z", "2022-01-01T00:00:00Z ", "\t2022-01-01T00:00:00Z\n",
+                          "2022-01-01T00:00:00Z\n", "2022-01-01T00:00:00", "2022-01-01T00:00:00ZZ",
+                          "2022-01-01t00:00:00Z", "2022-01-01T00:00:00+01:60"]
+_NON_ASCII_STAMPS = ["\uff12\uff10\uff12\uff12-01-01T00:00:00Z", "\u0662\u0660\u0662\u0662-01-01T00:00:00Z",
+                     "2022-01-01T00:00:0\u0665Z", "2022-01-01T00:00:00.\u0665Z",
+                     "2022-01-01T00:00:00+0\u0661:00", "2022\u201101-01T00:00:00Z",
+                     "2022-01-01T00:00:00\u212a"]
+_NON_STR_STAMPS = [None, 5, 1.5, True, b"2022-01-01T00:00:00Z", bytearray(b"2022-01-01T00:00:00Z"),
+                   ["2022-01-01T00:00:00Z"], datetime(2022, 1, 1, tzinfo=timezone.utc)]
+
+
+@pytest.mark.parametrize("value", _CANONICAL_STAMPS + _IMPOSSIBLE_STAMPS + _NEAR_CANONICAL_STAMPS
+                         + _NON_ASCII_STAMPS + _NON_STR_STAMPS
+                         + [_Str(stamp) for stamp in _CANONICAL_STAMPS[:2] + _IMPOSSIBLE_STAMPS[:2]])
+def test_parse_timestamp_gives_what_the_general_path_gives(value):
+    """The same value (with ``timezone.utc`` itself as its zone, which format_timestamp
+    relies on), or the same exception type and message."""
+    outcome = _outcome(parse_timestamp, value)
+    assert outcome == _outcome(_general_parse_timestamp, value)
+    assert outcome == _outcome(_reference_parse_timestamp, value)
+    if not isinstance(outcome[0], type):
+        assert parse_timestamp(value, "t").tzinfo is timezone.utc
+
+
+@given(st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", fullmatch=True))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_canonical_shapes_parse_as_the_general_path_reads_them(value):
+    """Mostly dates that do not exist, which the canonical shortcut must hand on."""
+    assert _outcome(parse_timestamp, value) == _outcome(_general_parse_timestamp, value)
+
+
 @pytest.mark.parametrize("year", [1, 999])
 def test_early_years_round_trip(year, tmp_path):
     data = _base()

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MUTANTS, json_paths, replace_at
-from prtrust import ingest
+from prtrust import cli, ingest
 from prtrust import (
     AuthError,
     FetchError,
@@ -383,6 +383,12 @@ def _unparsable_time(path):
     path.write_text(json.dumps(envelope), encoding="utf-8")
 
 
+def _no_such_date(path):
+    envelope = json.loads(path.read_text(encoding="utf-8"))
+    envelope["retrieved_at"] = "2022-02-30T00:00:00Z"  # canonical in shape
+    path.write_text(json.dumps(envelope), encoding="utf-8")
+
+
 def _too_deep(path):
     path.write_bytes(b"[" * 200000)
 
@@ -401,22 +407,166 @@ def _retyped(key, value):
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _not_an_object, _old_layout, _unparsable_time,
-                                     _too_deep, _not_utf8, _retyped("etag", 5), _retyped("link_next", 5)])
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _a_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+_UNUSABLE = [_truncate, _not_an_object, _old_layout, _unparsable_time, _too_deep, _not_utf8,
+             _retyped("etag", 5), _retyped("link_next", 5), _empty, _no_such_date]
+
+
+def _entry(cache, url):
+    return cache / f"{hashlib.sha256(url.encode('utf-8')).hexdigest()}.json"
+
+
+def _list_calls(session):
+    """The (headers, status) of each request for the first page of the PR listing."""
+    return [(headers, status) for (url, headers), status
+            in zip(session.calls, session.status_log) if url == LIST_CLOSED]
+
+
+@pytest.mark.parametrize("corrupt", _UNUSABLE)
 def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
     cache = tmp_path / "cache"
     cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
-    entry = cache / f"{hashlib.sha256(LIST_CLOSED.encode('utf-8')).hexdigest()}.json"
+    entry = _entry(cache, LIST_CLOSED)
     corrupt(entry)
 
     session = FakeSession(demo_routes())
     warm = fetch_snapshot(_plan(cache_dir=cache), session=session)
-    calls = [(headers, status) for (url, headers), status
-             in zip(session.calls, session.status_log) if url == LIST_CLOSED]
+    calls = _list_calls(session)
     assert [status for _, status in calls] == [200]
     assert "If-None-Match" not in calls[0][0]
     assert json.loads(entry.read_text(encoding="utf-8"))["etag"] == 'W/"list1"'
     assert warm == cold
+
+
+def test_a_directory_in_an_entrys_place_is_a_miss(tmp_path, frozen_clock):
+    """The directory is asked for again; an answer without an ETag is not cached, so
+    the fetch completes, and one with an ETag cannot replace the directory."""
+    cache = tmp_path / "cache"
+    cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    entry = _entry(cache, LIST_CLOSED)
+    _a_directory(entry)
+
+    routes = demo_routes()
+    del routes[LIST_CLOSED]["etag"]
+    session = FakeSession(routes)
+    assert fetch_snapshot(_plan(cache_dir=cache), session=session) == cold
+    calls = _list_calls(session)
+    assert [status for _, status in calls] == [200]
+    assert "If-None-Match" not in calls[0][0]
+    assert entry.is_dir()
+
+    session = FakeSession(demo_routes())
+    with pytest.raises(OSError):
+        fetch_snapshot(_plan(cache_dir=cache), session=session)
+    assert [status for _, status in _list_calls(session)] == [200]
+    assert entry.is_dir() and list(cache.glob("*.tmp")) == []
+
+
+def test_an_entry_over_64_kib_is_served_whole_on_a_304(tmp_path, frozen_clock):
+    routes = demo_routes()
+    body = "".join(f"line {i} of a long review thread\n" for i in range(3000))
+    routes[f"{REPO}/issues/3/comments?per_page=100"]["payload"][0]["body"] = body
+    cache = tmp_path / "cache"
+    cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(routes))
+    assert _entry(cache, f"{REPO}/issues/3/comments?per_page=100").stat().st_size > 64 * 1024
+
+    session = FakeSession(routes)
+    warm = fetch_snapshot(_plan(cache_dir=cache), session=session)
+    assert 200 not in session.status_log
+    assert warm == cold
+    assert warm.pulls[2].issue_comments[0].body == body
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-16-be", "utf-32", "utf-32-le"])
+def test_an_entry_in_any_utf_encoding_json_allows_is_served(tmp_path, frozen_clock, encoding):
+    cache = tmp_path / "cache"
+    cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    entry = _entry(cache, f"{REPO}/issues/3/comments?per_page=100")
+    entry.write_bytes(entry.read_text(encoding="utf-8").encode(encoding))
+
+    session = FakeSession(demo_routes())
+    assert fetch_snapshot(_plan(cache_dir=cache), session=session) == cold
+    assert 200 not in session.status_log
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_a_warm_fetch_over_every_unusable_entry_leaves_no_descriptor_open(tmp_path, frozen_clock):
+    cache = tmp_path / "cache"
+    cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    routes = demo_routes()
+    *urls, directory = [url for url, spec in routes.items() if isinstance(spec, dict)][:len(_UNUSABLE) + 1]
+    for url, corrupt in zip(urls, _UNUSABLE):
+        corrupt(_entry(cache, url))
+    _a_directory(_entry(cache, directory))
+    del routes[directory]["etag"]  # its answer is not cached, so the directory stays in place
+
+    session = FakeSession(routes)
+    before = sorted(Path("/proc/self/fd").iterdir())
+    warm = fetch_snapshot(_plan(cache_dir=cache), session=session)
+    assert sorted(Path("/proc/self/fd").iterdir()) == before
+    assert warm == cold
+    assert session.status_log.count(200) == len(_UNUSABLE) + 1
+
+
+class _CappedSession(FakeSession):
+    """Refuses to answer more than ``limit`` requests, so a fetch that loops ends."""
+
+    def __init__(self, routes, limit=200):
+        super().__init__(routes)
+        self.limit = limit
+
+    def get(self, url, headers=None, timeout=None):
+        if len(self.calls) >= self.limit:
+            raise RuntimeError(f"more than {self.limit} requests")
+        return super().get(url, headers, timeout)
+
+
+REVIEWS_3 = f"{REPO}/pulls/3/reviews?per_page=100"
+
+
+def test_a_cached_page_that_links_to_itself_aborts_the_fetch(tmp_path, frozen_clock):
+    cache = tmp_path / "cache"
+    fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    entry = _entry(cache, REVIEWS_3)
+    envelope = json.loads(entry.read_text(encoding="utf-8"))
+    envelope["link_next"] = REVIEWS_3
+    entry.write_text(json.dumps(envelope), encoding="utf-8")
+
+    session = _CappedSession(demo_routes())
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(cache_dir=cache), session=session)
+    assert str(err.value) == (f"fetch aborted after 0 of 3 PRs: pagination of {REVIEWS_3} "
+                              f"loops back to {REVIEWS_3}, a page already fetched")
+    assert type(err.value.__cause__) is FetchError
+    assert [url for url, _ in session.calls].count(REVIEWS_3) == 1
+
+
+def test_a_live_link_header_that_loops_aborts_the_fetch(monkeypatch, tmp_path, capsys):
+    routes = demo_routes()
+    page_2 = f"{REVIEWS_3}&page=2"
+    routes[REVIEWS_3]["link_next"] = page_2
+    routes[page_2] = {"payload": [], "etag": 'W/"r3p2"', "link_next": REVIEWS_3}
+    session = _CappedSession(routes)
+    with pytest.raises(PartialFetchError) as err:
+        fetch_snapshot(_plan(), session=session)
+    assert str(err.value) == (f"fetch aborted after 0 of 3 PRs: pagination of {REVIEWS_3} "
+                              f"loops back to {REVIEWS_3}, a page already fetched")
+    assert [url for url, _ in session.calls].count(REVIEWS_3) == 1
+
+    monkeypatch.setattr("prtrust.cli.fetch_snapshot",
+                        lambda plan: fetch_snapshot(plan, session=_CappedSession(routes)))
+    assert cli.run(["fetch", "--repo", "octo/demo", "--max-pulls", "3",
+                    "--out", str(tmp_path / "snap.json")]) == 2
+    assert "loops back to" in capsys.readouterr().err
+    assert not (tmp_path / "snap.json").exists()
 
 
 def test_a_lone_surrogate_in_a_body_is_cached_and_saved_escaped(tmp_path, frozen_clock):
@@ -444,6 +594,16 @@ def test_a_login_holding_a_lone_surrogate_aborts_naming_the_field():
         "field 'login' must encode as UTF-8, got 'mona\\ud83d'"
     )
     assert isinstance(err.value.__cause__, SnapshotParseError)
+
+
+def test_a_loop_in_the_pr_listing_is_a_fetch_error():
+    routes = demo_routes()
+    routes[LIST_CLOSED_2]["link_next"] = LIST_CLOSED
+    with pytest.raises(FetchError) as err:
+        fetch_snapshot(_plan(max_pulls=5), session=_CappedSession(routes))
+    assert type(err.value) is FetchError
+    assert str(err.value) == (f"pagination of {LIST_CLOSED} loops back to {LIST_CLOSED}, "
+                              "a page already fetched")
 
 
 def test_missing_repo_aborts_with_not_found():
