@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .config import AnalysisConfig
 from .corpus import PullRequest, RepoSnapshot, outcome
-from .errors import ConfigError, InsufficientStratumError, SnapshotError
+from .errors import InsufficientStratumError, SnapshotError
 from .metrics import (
     DIMENSIONS,
     DimensionScore,
@@ -124,10 +124,7 @@ class SamplePlan:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.per_repo_n < 1:
-            raise ConfigError(f"per_repo_n must be >= 1, got {self.per_repo_n}")
-        if not 0.0 <= self.accept_ratio <= 1.0:
-            raise ConfigError(f"accept_ratio must be in [0, 1], got {self.accept_ratio}")
+        AnalysisConfig(per_repo_n=self.per_repo_n, accept_ratio=self.accept_ratio, seed=self.seed).validate()
 
     @property
     def accepted_count(self) -> int:

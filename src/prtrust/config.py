@@ -24,6 +24,7 @@ from .metrics import (
     DIMENSIONS,
     VouchLexicon,
     default_lexicon,
+    left_sum,
 )
 
 
@@ -35,8 +36,9 @@ def _uniform_weights() -> dict[str, float]:
 class AnalysisConfig:
     """Every knob that affects an analysis or sampling run.
 
-    Weights must be strictly positive; they are renormalized over the
-    available dimensions when combining scores, so only ratios matter.
+    Weights must be strictly positive, with a finite sum; they are
+    renormalized over the available dimensions when combining scores, so
+    only ratios matter.
     Each field is a config-file key (``weights`` as ``weights.<dimension>``),
     and the field order is the key order of the config echo in reports.
     """
@@ -64,6 +66,9 @@ class AnalysisConfig:
         for dimension, weight in self.weights.items():
             if not 0 < weight < inf:
                 raise ConfigError(f"weights.{dimension} must be positive and finite, got {weight}")
+        total = left_sum(self.weights[d] for d in DIMENSIONS)  # in the order combine_scores adds them
+        if total == inf:
+            raise ConfigError(f"weights must have a finite sum, got {total}")
 
     def load_lexicon(self) -> VouchLexicon:
         """Resolve the vouch lexicon: the configured file or the built-in one."""
@@ -104,27 +109,21 @@ def _parse_int(value: str, where: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
 
 
-# Parsers of the scalar keys, by field annotation; weights are read per dimension.
-_PARSERS = {
-    "float": _parse_float,
-    "int": _parse_int,
-    "bool": _parse_bool,
-    "str | None": lambda value, where: value,
+# Per field annotation: the config-file parser of a scalar key (weights are read per
+# dimension), the types a config built in code may hold, and their name in errors; a
+# bool, though an int, is accepted only where the annotation is "bool".
+_KINDS = {
+    "float": (_parse_float, (int, float), "a number"),
+    "int": (_parse_int, int, "an integer"),
+    "bool": (_parse_bool, bool, "a boolean"),
+    "str | None": (lambda value, where: value, (str, type(None)), "a string or None"),
+    "dict[str, float]": (None, dict, "a dict"),
 }
-_SCALAR_KEYS = {f.name: _PARSERS[f.type] for f in fields(AnalysisConfig) if f.name != "weights"}
-# The types each field annotation accepts in a config built in code, and their name in
-# errors; a bool, though an int, is accepted only where the annotation is "bool".
-_TYPES = {
-    "float": ((int, float), "a number"),
-    "int": (int, "an integer"),
-    "bool": (bool, "a boolean"),
-    "str | None": ((str, type(None)), "a string or None"),
-    "dict[str, float]": (dict, "a dict"),
-}
+_SCALAR_KEYS = {f.name: _KINDS[f.type][0] for f in fields(AnalysisConfig) if f.name != "weights"}
 
 
 def _check_type(key: str, value: object, annotation: str) -> None:
-    accepted, name = _TYPES[annotation]
+    _, accepted, name = _KINDS[annotation]
     if not isinstance(value, accepted) or type(value) is bool and annotation != "bool":
         raise ConfigError(f"{key} must be {name}, got {type(value).__name__}")
 

@@ -26,7 +26,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -296,13 +296,7 @@ def restrict(snapshot: RepoSnapshot, numbers: Iterable[int]) -> RepoSnapshot:
     The full users map and repo metadata are preserved.
     """
     keep = set(numbers)
-    return RepoSnapshot(
-        repo_owner=snapshot.repo_owner,
-        repo_name=snapshot.repo_name,
-        fetched_at=snapshot.fetched_at,
-        pulls=tuple(pr for pr in snapshot.pulls if pr.number in keep),
-        users=snapshot.users,
-    )
+    return replace(snapshot, pulls=tuple(pr for pr in snapshot.pulls if pr.number in keep))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -283,14 +284,10 @@ class GitHubClient:
 
 
 def _read_file(path: str) -> bytes:
-    """The whole of a file, read into buffers sized by its length until a read comes short."""
+    """A file's bytes, in one read of the size fstat gives: entries change only by rename."""
     fd = os.open(path, _READ_FLAGS)
     try:
-        size = os.fstat(fd).st_size + 1  # a byte more than the file holds: one read reaches its end
-        chunks = [os.read(fd, size)]
-        while len(chunks[-1]) == size:  # the file grew after fstat
-            chunks.append(os.read(fd, size))
-        return b"".join(chunks)
+        return os.read(fd, os.fstat(fd).st_size)
     finally:
         os.close(fd)
 
@@ -330,12 +327,12 @@ def _reset_time(headers: Any) -> datetime | None:
 
 
 def _seconds_until(reset_at: datetime | None, headers: Any) -> float:
-    retry_after = headers.get("Retry-After")
-    if retry_after is not None:
-        try:
-            return max(1.0, float(retry_after))
-        except ValueError:
-            pass
+    try:
+        seconds = float(headers.get("Retry-After", "nan"))
+    except ValueError:
+        seconds = math.nan
+    if math.isfinite(seconds):  # absent, "soon", "inf" or "nan": wait for the reset
+        return max(1.0, seconds)
     if reset_at is None:
         return 60.0
     return max(1.0, (reset_at - datetime.now(timezone.utc)).total_seconds() + 1.0)

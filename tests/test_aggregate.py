@@ -160,6 +160,8 @@ def test_profiles_carry_unavailability_through(rich_snapshot):
      "weights must cover exactly the dimensions ('action', 'commitment', 'competence', "
      "'institutional', 'personality', 'transferred')"),
     (AnalysisConfig(weights={d: 0.0 for d in UNIFORM}), "weights.action must be positive and finite, got 0.0"),
+    # each weight positive and finite, their sum in DIMENSIONS order not
+    (AnalysisConfig(weights={d: 1e308 for d in UNIFORM}), "weights must have a finite sum, got inf"),
     (AnalysisConfig(competence_window=0), "competence_window must be >= 1, got 0"),
     # a value of the wrong type, named before any range check runs
     (AnalysisConfig(f_cap="4"), "f_cap must be a number, got str"),
@@ -174,7 +176,7 @@ def test_profiles_carry_unavailability_through(rich_snapshot):
     (AnalysisConfig(exclude_bots="false"), "exclude_bots must be a boolean, got str"),
     (AnalysisConfig(lexicon_path=Path("vouch.txt")),
      f"lexicon_path must be a string or None, got {type(Path()).__name__}"),
-], ids=["one-weight", "zero-weights", "zero-window", "f_cap", "competence_window", "competence_window-bool",
+], ids=["one-weight", "zero-weights", "weights-sum", "zero-window", "f_cap", "competence_window", "competence_window-bool",
         "accept_ratio", "per_repo_n", "seed", "weights", "weight-str", "weight-bool", "exclude_bots",
         "lexicon_path"])
 def test_analysis_rejects_a_config_built_in_code_as_validate_does(rich_snapshot, config, message):
@@ -202,10 +204,18 @@ def test_plan_rounding_is_half_up():
 
 
 def test_plan_validates_inputs():
-    with pytest.raises(ConfigError):
-        SamplePlan(per_repo_n=0, accept_ratio=0.5, seed=0)
-    with pytest.raises(ConfigError):
-        SamplePlan(per_repo_n=5, accept_ratio=1.5, seed=0)
+    for plan, message in [
+        (dict(per_repo_n=0, accept_ratio=0.5, seed=0), "per_repo_n must be >= 1, got 0"),
+        (dict(per_repo_n=5, accept_ratio=1.5, seed=0), "accept_ratio must be in [0, 1], got 1.5"),
+        # a plan is checked as a config: by type first, naming the key
+        (dict(per_repo_n=True, accept_ratio=0.5, seed=0), "per_repo_n must be an integer, got bool"),
+        (dict(per_repo_n=5, accept_ratio=0.5, seed="7"), "seed must be an integer, got str"),
+        # both out of range: named in the order a config checks them
+        (dict(per_repo_n=0, accept_ratio=1.5, seed=0), "accept_ratio must be in [0, 1], got 1.5"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            SamplePlan(**plan)
+        assert str(err.value) == message, plan
 
 
 def test_sample_is_deterministic_and_sorted():

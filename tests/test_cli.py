@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from conftest import rich_snapshot_dict
-from prtrust import RateLimitError, load_snapshot
+from prtrust import DIMENSIONS, RateLimitError, fetch_snapshot, load_snapshot
 from prtrust.cli import run
+from test_ingest import LIST_ALL, LIST_CLOSED, FakeSession, demo_routes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -104,6 +105,17 @@ def test_bad_config_exits_1(snapshot_file, tmp_path):
         assert code == 1, line
 
 
+def test_weights_whose_sum_overflows_exit_1_before_the_snapshot_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("prtrust.cli.load_snapshot", lambda path: pytest.fail("read the snapshot"))
+    config = tmp_path / "huge.conf"
+    config.write_text("".join(f"weights.{d} = 1e308\n" for d in DIMENSIONS), encoding="utf-8")
+    code = run(["analyze", "--in", str(tmp_path / "snap.json"), "--config", str(config),
+                "--out", str(tmp_path / "r.json"), "--format", "json"])
+    assert code == 1
+    assert capsys.readouterr().err == "prtrust: weights must have a finite sum, got inf\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_unknown_flag_prints_usage_and_exits_1(capsys):
     code = run(["analyze", "--frobnicate"])
     assert code == 1
@@ -146,6 +158,29 @@ def test_fetch_rejects_bad_repo_argument(monkeypatch, tmp_path, capsys):
         code = run(["fetch", "--repo", repo, "--max-pulls", "5", "--out", str(tmp_path / "snap.json")])
         assert (code, calls) == (1, []), repo
         assert f"prtrust: error: --repo must look like owner/name, got {repo!r}" in capsys.readouterr().err
+
+
+def test_fetch_writes_the_fetched_snapshot(monkeypatch, tmp_path, capsys):
+    monkeypatch.delenv("GITHUB_TOKEN", raising=False)
+    routes = demo_routes()
+    routes[LIST_ALL] = routes[LIST_CLOSED]  # the listing with open PRs answers as the closed one
+    plans, fetched = [], []
+
+    def fetch(plan):
+        plans.append(plan)
+        fetched.append(fetch_snapshot(plan, session=FakeSession(routes)))
+        return fetched[-1]
+
+    monkeypatch.setattr("prtrust.cli.fetch_snapshot", fetch)
+    out, cache = tmp_path / "snap.json", tmp_path / "cache"
+    code = run(["fetch", "--repo", "octo/demo", "--max-pulls", "3", "--include-open",
+                "--cache", str(cache), "--out", str(out)])
+    assert code == 0
+    [plan], [snapshot] = plans, fetched
+    assert (plan.include_open, plan.cache_dir, len(snapshot.pulls)) == (True, str(cache), 3)
+    assert capsys.readouterr().err == f"wrote 3 PRs to {out}\n"
+    assert any(cache.iterdir())
+    assert load_snapshot(out) == snapshot
 
 
 @pytest.mark.parametrize("field, value, got", [

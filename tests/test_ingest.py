@@ -834,14 +834,15 @@ def test_an_unexpected_status_is_a_fetch_error_without_retries(status):
 ], ids=["reset-time", "no-reset-time"])
 def test_a_retry_after_that_is_not_a_number_waits_for_the_reset(frozen_clock, reset, delay):
     url = f"{API}/probe"
-    routes = {url: [
-        {"status": 429, "payload": {}, "headers": {"Retry-After": "soon", "X-RateLimit-Reset": reset}},
-        {"status": 200, "payload": {"ok": True}},
-    ]}
-    sleeps = []
-    client = GitHubClient(token="t0ken", session=FakeSession(routes), sleep=sleeps.append)
-    assert client.get(url) == ({"ok": True}, None)
-    assert sleeps == [delay]
+    for retry_after in ("soon", "inf", "-inf", "nan", "1e400"):  # not a finite number
+        routes = {url: [
+            {"status": 429, "payload": {}, "headers": {"Retry-After": retry_after, "X-RateLimit-Reset": reset}},
+            {"status": 200, "payload": {"ok": True}},
+        ]}
+        sleeps = []
+        client = GitHubClient(token="t0ken", session=FakeSession(routes), sleep=sleeps.append)
+        assert client.get(url) == ({"ok": True}, None)
+        assert sleeps == [delay], retry_after
 
 
 def test_unauthorized_raises_auth_error():
