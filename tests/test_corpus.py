@@ -687,11 +687,173 @@ def test_events_at_the_window_bounds_are_accepted():
 
 
 # ---------------------------------------------------------------------------
-# Decode paths: every accepted spelling decodes to the same snapshot
+# Record decode errors: the full message for every field of a PR, a user and the repo
 # ---------------------------------------------------------------------------
 
+def _update_user(index: int, **fields):
+    return lambda d: d["users"][index].update(fields)
+
+
+def _drop_from_user(index: int, name: str):
+    return lambda d: d["users"][index].pop(name)
+
+
+def _update_closure(**fields):
+    return lambda d: d["users"][1]["closure_history"].update(fields)
+
+
+def _drop_from_closure(name: str):
+    return lambda d: d["users"][1]["closure_history"].pop(name)
+
+
+def _update_repo(**fields):
+    return lambda d: d["repo"].update(fields)
+
+
+def _drop_from_repo(name: str):
+    return lambda d: d["repo"].pop(name)
+
+
+def _update_snapshot(**fields):
+    return lambda d: d.update(fields)
+
+
+def _drop_from_snapshot(name: str):
+    return lambda d: d.pop(name)
+
+
+_P, _V = SnapshotParseError, SnapshotValidationError
 _EVENT_LIST_KEYS = ("commits", "issue_comments", "review_comments", "reviews", "review_requests")
 
+# (name, mutation of _base(), exception type, the whole message): per field, a missing
+# key, a value of the wrong JSON type and a null, then an unknown key at every level.
+# Where a field may be absent or null, the snapshot fails validation instead, or loads.
+_RECORD_ERRORS = [
+    ("pr-number-missing", _drop_from_pull("number"), _P, "pulls[0]: missing field 'number'"),
+    ("pr-number-str", _update_pull(number="4"), _P, "pulls[0]: field 'number' must be an integer, got str"),
+    ("pr-number-bool", _update_pull(number=True), _P, "pulls[0]: field 'number' must be an integer, got bool"),
+    ("pr-number-null", _update_pull(number=None), _P,
+     "pulls[0]: field 'number' must be an integer, got NoneType"),
+    ("pr-author-missing", _drop_from_pull("author"), _P, "PR 4: missing field 'author'"),
+    ("pr-author-int", _update_pull(author=7), _P, "PR 4: field 'author' must be a string, got int"),
+    ("pr-author-null", _update_pull(author=None), _P, "PR 4: field 'author' must be a string, got NoneType"),
+    ("pr-state-missing", _drop_from_pull("state"), _P, "PR 4: missing field 'state'"),
+    ("pr-state-list", _update_pull(state=["merged"]), _P, "PR 4: field 'state' must be a string, got list"),
+    ("pr-state-null", _update_pull(state=None), _P, "PR 4: field 'state' must be a string, got NoneType"),
+    ("pr-created_at-missing", _drop_from_pull("created_at"), _P, "PR 4: missing field 'created_at'"),
+    ("pr-created_at-int", _update_pull(created_at=7), _P, "PR 4.created_at: timestamp must be a string, got int"),
+    ("pr-created_at-null", _update_pull(created_at=None), _P,
+     "PR 4.created_at: timestamp must be a string, got NoneType"),
+    ("pr-closed_at-missing", _drop_from_pull("closed_at"), _V, "PR 4: state 'merged' requires closed_at"),
+    ("pr-closed_at-dict", _update_pull(closed_at={}), _P, "PR 4.closed_at: timestamp must be a string, got dict"),
+    ("pr-closed_at-null", _update_pull(closed_at=None), _V, "PR 4: state 'merged' requires closed_at"),
+    ("pr-closer-missing", _drop_from_pull("closer"), _V, "PR 4: state 'merged' requires a closer"),
+    ("pr-closer-bool", _update_pull(closer=True), _P, "PR 4: field 'closer' must be a string, got bool"),
+    ("pr-closer-null", _update_pull(closer=None), _V, "PR 4: state 'merged' requires a closer"),
+    ("pr-labels-missing", _drop_from_pull("labels"), _P, "PR 4: missing field 'labels'"),
+    ("pr-labels-str", _update_pull(labels="bug"), _P, "PR 4.labels: expected an array, got str"),
+    ("pr-labels-item-int", _update_pull(labels=["bug", 7]), _P, "PR 4.labels[1]: expected a string, got int"),
+    ("pr-labels-null", _update_pull(labels=None), _P, "PR 4.labels: expected an array, got NoneType"),
+    ("pr-contribution_kind-missing", _drop_from_pull("contribution_kind"), _P,
+     "PR 4: missing field 'contribution_kind'"),
+    ("pr-contribution_kind-int", _update_pull(contribution_kind=7), _P,
+     "PR 4: field 'contribution_kind' must be a string, got int"),
+    ("pr-contribution_kind-null", _update_pull(contribution_kind=None), _P,
+     "PR 4: field 'contribution_kind' must be a string, got NoneType"),
+    ("pr-files-missing", _drop_from_pull("files"), _P, "PR 4: missing field 'files'"),
+    ("pr-files-dict", _update_pull(files={}), _P, "PR 4.files: expected an array, got dict"),
+    ("pr-files-item-null", _update_pull(files=[None]), _P, "PR 4.files[0]: expected a string, got NoneType"),
+    ("pr-files-null", _update_pull(files=None), _P, "PR 4.files: expected an array, got NoneType"),
+    *[row for key in _EVENT_LIST_KEYS for row in [
+        (f"pr-{key}-missing", _drop_from_pull(key), _P, f"PR 4: missing field '{key}'"),
+        (f"pr-{key}-dict", _update_pull(**{key: {}}), _P, f"PR 4.{key}: expected an array, got dict"),
+        (f"pr-{key}-null", _update_pull(**{key: None}), _P, f"PR 4.{key}: expected an array, got NoneType"),
+    ]],
+    ("user-login-missing", _drop_from_user(0, "login"), _P, "users[0]: missing field 'login'"),
+    ("user-login-int", _update_user(0, login=7), _P, "users[0]: field 'login' must be a string, got int"),
+    ("user-login-null", _update_user(0, login=None), _P, "users[0]: field 'login' must be a string, got NoneType"),
+    ("user-followers-missing", _drop_from_user(0, "followers"), _P, "users[0]: missing field 'followers'"),
+    ("user-followers-float", _update_user(0, followers=1.5), _P,
+     "users[0]: field 'followers' must be an integer, got float"),
+    ("user-followers-null", _update_user(0, followers=None), _P,
+     "users[0]: field 'followers' must be an integer, got NoneType"),
+    ("user-orgs-missing", _drop_from_user(0, "orgs"), _P, "users[0]: missing field 'orgs'"),
+    ("user-orgs-str", _update_user(0, orgs="asf"), _P, "users[0].orgs: expected an array, got str"),
+    ("user-orgs-item-int", _update_user(0, orgs=[7]), _P, "users[0].orgs[0]: expected a string, got int"),
+    ("user-orgs-null", _update_user(0, orgs=None), _P, "users[0].orgs: expected an array, got NoneType"),
+    ("user-permission-missing", _drop_from_user(0, "permission"), _P, "users[0]: missing field 'permission'"),
+    ("user-permission-bool", _update_user(0, permission=True), _P,
+     "users[0]: field 'permission' must be a string, got bool"),
+    ("user-permission-null", _update_user(0, permission=None), _P,
+     "users[0]: field 'permission' must be a string, got NoneType"),
+    ("user-closure_history-list", _update_user(1, closure_history=[5, 3]), _P,
+     "users[1].closure_history: expected an object, got list"),
+    ("user-closure_history-empty", _update_user(1, closure_history={}), _P,
+     "users[1].closure_history: missing field 'closed_count'"),
+    ("user-closed_count-missing", _drop_from_closure("closed_count"), _P,
+     "users[1].closure_history: missing field 'closed_count'"),
+    ("user-closed_count-str", _update_closure(closed_count="5"), _P,
+     "users[1].closure_history: field 'closed_count' must be an integer, got str"),
+    ("user-closed_count-null", _update_closure(closed_count=None), _P,
+     "users[1].closure_history: field 'closed_count' must be an integer, got NoneType"),
+    ("user-accepted_count-missing", _drop_from_closure("accepted_count"), _P,
+     "users[1].closure_history: missing field 'accepted_count'"),
+    ("user-accepted_count-bool", _update_closure(accepted_count=True), _P,
+     "users[1].closure_history: field 'accepted_count' must be an integer, got bool"),
+    ("user-accepted_count-null", _update_closure(accepted_count=None), _P,
+     "users[1].closure_history: field 'accepted_count' must be an integer, got NoneType"),
+    ("user-permission_unknown-str", _update_user(0, permission_unknown="yes"), _P,
+     "users[0]: field 'permission_unknown' must be a boolean"),
+    ("user-permission_unknown-int", _update_user(0, permission_unknown=1), _P,
+     "users[0]: field 'permission_unknown' must be a boolean"),
+    ("user-permission_unknown-null", _update_user(0, permission_unknown=None), _P,
+     "users[0]: field 'permission_unknown' must be a boolean"),
+    ("repo-owner-missing", _drop_from_repo("owner"), _P, "repo: missing field 'owner'"),
+    ("repo-owner-int", _update_repo(owner=7), _P, "repo: field 'owner' must be a string, got int"),
+    ("repo-owner-null", _update_repo(owner=None), _P, "repo: field 'owner' must be a string, got NoneType"),
+    ("repo-name-missing", _drop_from_repo("name"), _P, "repo: missing field 'name'"),
+    ("repo-name-list", _update_repo(name=["widget"]), _P, "repo: field 'name' must be a string, got list"),
+    ("repo-name-null", _update_repo(name=None), _P, "repo: field 'name' must be a string, got NoneType"),
+    ("repo-fetched_at-missing", _drop_from_repo("fetched_at"), _P, "repo: missing field 'fetched_at'"),
+    ("repo-fetched_at-int", _update_repo(fetched_at=7), _P, "repo.fetched_at: timestamp must be a string, got int"),
+    ("repo-fetched_at-null", _update_repo(fetched_at=None), _P,
+     "repo.fetched_at: timestamp must be a string, got NoneType"),
+    ("snapshot-repo-missing", _drop_from_snapshot("repo"), _P, "snapshot: missing field 'repo'"),
+    ("snapshot-repo-list", _update_snapshot(repo=[]), _P, "repo: expected an object, got list"),
+    ("snapshot-repo-null", _update_snapshot(repo=None), _P, "repo: expected an object, got NoneType"),
+    ("snapshot-repo-empty", _update_snapshot(repo={}), _P, "repo: missing field 'owner'"),
+    ("snapshot-users-missing", _drop_from_snapshot("users"), _P, "snapshot: missing field 'users'"),
+    ("snapshot-users-dict", _update_snapshot(users={}), _P, "users: expected an array, got dict"),
+    ("snapshot-users-null", _update_snapshot(users=None), _P, "users: expected an array, got NoneType"),
+    ("snapshot-user-int", lambda d: d["users"].__setitem__(0, 7), _P, "users[0]: expected an object, got int"),
+    ("snapshot-pulls-missing", _drop_from_snapshot("pulls"), _P, "snapshot: missing field 'pulls'"),
+    ("snapshot-pulls-int", _update_snapshot(pulls=7), _P, "pulls: expected an array, got int"),
+    ("snapshot-pulls-null", _update_snapshot(pulls=None), _P, "pulls: expected an array, got NoneType"),
+    ("snapshot-pull-str", lambda d: d["pulls"].__setitem__(0, "4"), _P, "pulls[0]: expected an object, got str"),
+    ("unknown-key-in-snapshot", _update_snapshot(surprise=1), _P, "snapshot: unknown field 'surprise'"),
+    ("unknown-key-in-repo", _update_repo(surprise=1), _P, "repo: unknown field 'surprise'"),
+    ("unknown-key-in-user", _update_user(0, surprise=1), _P, "users[0]: unknown field 'surprise'"),
+    ("unknown-key-in-closure_history", _update_closure(surprise=1), _P,
+     "users[1].closure_history: unknown field 'surprise'"),
+    ("unknown-key-in-pr", _update_pull(surprise=1), _P, "pulls[0]: unknown field 'surprise'"),
+    *[(f"unknown-key-in-{key}", _update_event(key, surprise=1), _P, f"PR 4.{key}[0]: unknown field 'surprise'")
+      for key in _EVENT_LIST_KEYS],
+]
+
+
+@pytest.mark.parametrize("mutate, error, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in _RECORD_ERRORS])
+def test_record_decode_errors_carry_the_full_message(mutate, error, message):
+    data = _base()
+    mutate(data)
+    with pytest.raises(SnapshotError) as err:
+        snapshot_from_dict(data)
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+# ---------------------------------------------------------------------------
+# Decode paths: every accepted spelling decodes to the same snapshot
+# ---------------------------------------------------------------------------
 
 def _with_event_keys_reversed(data):
     """A copy of ``data`` with the keys of every event object in reverse order."""
