@@ -83,6 +83,7 @@ _RANGES = (
     ("competence_window", lambda v: v < 1, "must be >= 1"),
     ("accept_ratio", lambda v: not 0.0 <= v <= 1.0, "must be in [0, 1]"),
     ("per_repo_n", lambda v: v < 1, "must be >= 1"),
+    ("per_repo_n", lambda v: v > 2**53, "must be <= 2**53"),  # so that it is exact as a float
 )
 
 

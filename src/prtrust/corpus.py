@@ -26,12 +26,14 @@ import json
 import math
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import product
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import SnapshotError, SnapshotParseError, SnapshotValidationError
 
@@ -56,19 +58,21 @@ _CANONICAL = re.compile(_DATE_TIME + "Z", re.ASCII).fullmatch
 # Timestamps
 # ---------------------------------------------------------------------------
 
+def _canonical_instant(text: str) -> datetime:
+    """The instant of a timestamp in the canonical spelling "YYYY-MM-DDTHH:MM:SSZ" that save_snapshot
+    writes, as parse_timestamp's general path reads it; any other text is a ValueError."""
+    if not _CANONICAL(text):
+        raise ValueError(text)
+    return datetime.fromisoformat(text[:-1] + "+00:00")
+
+
 def parse_timestamp(value: Any, where: str) -> datetime:
     """Parse a timestamp of the module's grammar into an aware UTC datetime (second
     precision); one with no offset, or whose UTC instant leaves years 1-9999, is rejected."""
-    # The canonical spelling first, read as _fast_pull reads it inline: the two must agree,
-    # and both must give what the general path below gives. A date that does not exist
-    # falls through, so the general path names it.
-    if isinstance(value, str) and _CANONICAL(value):
-        try:
-            return datetime.fromisoformat(value[:-1] + "+00:00")
-        except ValueError:
-            pass
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
+    with suppress(ValueError):  # another spelling, or a date that does not exist, named below
+        return _canonical_instant(value)
     match = _TIMESTAMP.fullmatch(value.strip())
     if match is None:
         raise SnapshotParseError(f"{where}: invalid timestamp {value!r}")
@@ -340,10 +344,7 @@ def _str_field(data: dict, key: str, where: str) -> str:
 
 def _optional_str(data: Any, key: str, where: str) -> str | None:
     """``data[key]`` when it is a string, None when it is null or absent."""
-    value = _require_dict(data, where).get(key)
-    if value is not None and not isinstance(value, str):
-        raise SnapshotParseError(f"{where}: field '{key}' must be a string, got {_typename(value)}")
-    return value
+    return _FIELD_KINDS["str | None"].read(_require_dict(data, where), key, where)
 
 
 def _int_field(data: dict, key: str, where: str) -> int:
@@ -365,162 +366,187 @@ def _time_field(data: dict, key: str, where: str) -> datetime:
     return parse_timestamp(_take(data, key, where), f"{where}.{key}")
 
 
-# Per field annotation: the checked reader and the JSON type of a well-formed value.
-_FIELD_KINDS = {"int": (_int_field, int), "str": (_str_field, str), "datetime": (_time_field, str)}
+def _bool_field(data: dict, key: str, where: str) -> bool:
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise SnapshotParseError(f"{where}: field '{key}' must be a boolean")
+    return value
 
 
-def _event_codec(cls: type) -> tuple[dict, list, int, attrgetter, itemgetter]:
-    """Key -> checked reader, the JSON types of a well-formed event's values, the
-    position of its timestamp, and the getters of its values from an event and from
-    its JSON object. The keys, in the order they are encoded and checked, are the
-    dataclass fields; every event has exactly one timestamp."""
-    kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
-    (stamp,) = [i for i, f in enumerate(fields(cls)) if f.type == "datetime"]
-    readers = {name: read for name, (read, _) in kinds.items()}
-    return readers, [t for _, t in kinds.values()], stamp, attrgetter(*readers), itemgetter(*readers)
+def _label_set(data: dict, key: str, where: str) -> frozenset[str]:
+    labels = _string_list(data, key, where)
+    if len(set(labels)) != len(labels):
+        raise SnapshotValidationError(f"{where}: duplicate label in '{key}'")
+    return frozenset(labels)
 
 
-_EVENT_FIELDS = {cls: _event_codec(cls) for cls in (Comment, Review, ReviewRequest, CommitEvent)}
-_USER_KEYS = frozenset(f.name for f in fields(UserProfile))
+def _fast_strings(values: list, into: type = tuple) -> Any:
+    """``into(values)`` of a list of strings, when it holds as many; else a ValueError."""
+    if _ONLY_STR.issuperset(map(type, values)) and len(result := into(values)) == len(values):
+        return result
+    raise ValueError(values)
 
-# The event lists of a pull request, in JSON key order.
-_EVENT_LISTS = (
-    ("commits", CommitEvent),
-    ("issue_comments", Comment),
-    ("review_comments", Comment),
-    ("reviews", Review),
-    ("review_requests", ReviewRequest),
-)
 
-# What _fast_pull reads a pull request by: the keys of a closed and of an open one, the
-# JSON type of each value every one holds and their getter, and, per event list, its key,
-# class, the keys of its events, their getter, their JSON types and the position of their
-# timestamp.
-_PR_KEYS = frozenset(f.name for f in fields(PullRequest))
-_OPEN_PR_KEYS = _PR_KEYS - {"closed_at", "closer"}
-_PR_VALUE_TYPES = {"number": int, "author": str, "state": str, "created_at": str, "labels": list,
-                   "contribution_kind": str, "files": list}
-_PR_TYPES = tuple(_PR_VALUE_TYPES.values())
-_PR_TAKE = itemgetter(*_PR_VALUE_TYPES)
-_EVENT_DECODERS = tuple(
-    (key, cls, readers.keys(), take, types, stamp)
-    for key, cls in _EVENT_LISTS
-    for readers, types, stamp, _, take in [_EVENT_FIELDS[cls]]
-)
+def _is_strings(values: Any, container: type) -> bool:
+    return isinstance(values, container) and all(isinstance(value, str) for value in values)
+
+
+def _is_time(value: Any) -> bool:
+    if isinstance(value, datetime) and value.utcoffset() is None:
+        format_timestamp(value)  # which names the naive value
+    return isinstance(value, datetime)
+
+
 _ONLY_STR = frozenset((str,))
+_REQUIRED = object()  # the absent value of a field whose key must be present
+
+
+class _Kind(NamedTuple):
+    """How the snapshot format holds a field of one annotation."""
+
+    read: Callable[[dict, str, str], Any]  # the checked reader of data[key], which names any fault
+    encode: Callable[[Any], Any] | None  # a value's JSON value; None writes the value itself
+    valid: Callable[[Any], bool]  # whether save_snapshot writes a value that loads back equal
+    json: tuple[type, ...] = ()  # the exact JSON types of a value that _fast_pull takes,
+    fast: Callable[[Any], Any] | None = None  # and its value of a non-null one (None: itself), or ValueError
+    absent: Any = _REQUIRED  # the value an absent key reads as, which is left out when written
+
+
+def _or_none(kind: _Kind) -> _Kind:
+    """The kind of ``X | None`` from X's: an absent key or a null reads as None, which is not written."""
+    read = kind.read
+    return kind._replace(read=lambda data, key, at: None if data.get(key) is None else read(data, key, at),
+                         json=kind.json + (type(None),), absent=None)
+
+
+_INT = _Kind(_int_field, None, lambda value: isinstance(value, int) and type(value) is not bool, (int,))
+_STR = _Kind(_str_field, None, lambda value: isinstance(value, str), (str,))
+_TIME = _Kind(_time_field, format_timestamp, _is_time, (str,), _canonical_instant)
+_CLOSURE = dict.fromkeys(("closed_count", "accepted_count"), (None, _INT))  # the rows of a pair's object
+# Per field annotation, its kind; the event lists' are added below.
+_FIELD_KINDS = {
+    "int": _INT,
+    "str": _STR,
+    "str | None": _or_none(_STR),
+    "datetime": _TIME,
+    "datetime | None": _or_none(_TIME),
+    "bool": _Kind(_bool_field, None, lambda value: isinstance(value, bool), absent=False),
+    "frozenset[str]": _Kind(lambda *args: frozenset(_string_list(*args)), sorted,
+                            lambda value: _is_strings(value, frozenset), (list,),
+                            partial(_fast_strings, into=frozenset)),
+    "tuple[str, ...]": _Kind(lambda *args: tuple(_string_list(*args)), list,
+                             lambda value: _is_strings(value, tuple), (list,), _fast_strings),
+    "tuple[int, int] | None": _or_none(_Kind(
+        lambda data, key, at: _decode_record(lambda *counts: counts, _CLOSURE, data[key], f"{at}.{key}"),
+        lambda counts: dict(zip(_CLOSURE, counts)),
+        lambda pair: isinstance(pair, tuple) and len(pair) == 2 and all(map(_INT.valid, pair)))),
+}
+
+
+def _table(cls: type, **kinds: _Kind) -> dict[str, tuple[Any, _Kind]]:
+    """Field name, which is its JSON key -> (dataclass field, kind), for each field of ``cls``
+    in field order; a field's kind is its annotation's, or the one ``kinds`` gives its name."""
+    return {f.name: (f, kinds.get(f.name) or _FIELD_KINDS[f.type]) for f in fields(cls)}
+
+
+def _decode_record(cls: type, table: dict, data: Any, where: str) -> Any:
+    """The ``cls`` of the JSON object ``data``, read by the checked readers, which name any fault."""
+    data = _require_dict(data, where)
+    _check_keys(data, table, where)
+    return cls(*[kind.read(data, key, where) for key, (_, kind) in table.items()])
+
+
+# Per event class: its table, the position of its one timestamp, and the getters of its
+# values from an event and from its JSON object, and their JSON types, in table order.
+_EVENT_CODECS = {
+    cls: (table, [f.type for f, _ in table.values()].index("datetime"), attrgetter(*table),
+          itemgetter(*table), [json_type for _, kind in table.values() for json_type in kind.json])
+    for cls in (Comment, Review, ReviewRequest, CommitEvent) for table in [_table(cls)]
+}
+# The event list annotations of PullRequest, and the class of their events.
+_EVENT_LISTS = {f"tuple[{cls.__name__}, ...]": cls for cls in _EVENT_CODECS}
+
+
+def _event_list(cls: type) -> _Kind:
+    """The kind of ``tuple[cls, ...]``, a list of events of class ``cls``; _fast_pull decodes it itself."""
+    table, _, get, _, _ = _EVENT_CODECS[cls]
+
+    def read(data: dict, key: str, where: str) -> tuple:
+        at = f"{where}.{key}"
+        return tuple(_decode_record(cls, table, raw, f"{at}[{i}]")
+                     for i, raw in enumerate(_require_list(_take(data, key, where), at)))
+
+    def valid(events: Any) -> bool:
+        return (isinstance(events, tuple) and set(map(type, events)) <= {cls}
+                and all(all(map(kind.valid, values))
+                        for (_, kind), values in zip(table.values(), zip(*map(get, events)))))
+
+    return _Kind(read, lambda events: [_encode(event, _EVENT_CODECS[type(event)][0]) for event in events],
+                 valid, (list,))
+
+
+_FIELD_KINDS.update({annotation: _event_list(cls) for annotation, cls in _EVENT_LISTS.items()})
+_USER = _table(UserProfile)
+_PR = _table(PullRequest, labels=_FIELD_KINDS["frozenset[str]"]._replace(read=_label_set))  # orgs may repeat
+_REPO = {k: (f, _FIELD_KINDS[f.type]) for k, f in zip(("owner", "name", "fetched_at"), fields(RepoSnapshot))}
+
+# What _fast_pull reads a pull request by, from its table: its keys with and without those
+# that may be absent, and what those read as; the getter of its values and their JSON types;
+# by position, the decoder of each value but an event list, and what each event list reads.
+_PR_KEYS = frozenset(_PR)
+_PR_ABSENT = {key: kind.absent for key, (_, kind) in _PR.items() if kind.absent is not _REQUIRED}
+_OPEN_PR_KEYS = _PR_KEYS - _PR_ABSENT.keys()
+_PR_TAKE = itemgetter(*_PR)
+_PR_TYPES = frozenset(product(*[kind.json for _, kind in _PR.values()]))
+_PR_FAST = tuple((i, kind.fast) for i, (_, kind) in enumerate(_PR.values()) if kind.fast)
+_PR_EVENTS = tuple((i, cls, table.keys(), take, types, stamp)
+                   for i, (f, _) in enumerate(_PR.values()) if f.type in _EVENT_LISTS
+                   for cls in [_EVENT_LISTS[f.type]] for table, stamp, _, take, types in [_EVENT_CODECS[cls]])
 
 
 def _fast_pull(data: Any) -> PullRequest | None:
-    """The PullRequest of a well-formed pull, decoded with no helper call per field or
-    event, or None, and _decode_pull then reads it or names its fault. Well-formed is an
-    exact dict of every field, or of all but closed_at and closer; values of their exact
-    JSON types, closed_at and closer possibly null, and unique labels; events that are
-    exact dicts of their exact keys (in any order) and types; and every timestamp in the
-    canonical "YYYY-MM-DDTHH:MM:SSZ" spelling, which parse_timestamp reads to the same
-    value. A date that does not exist, such as "2023-02-29", falls through."""
+    """The PullRequest of a well-formed pull, read with no checked reader, or None, and
+    _decode_pull then reads it or names its fault. Well-formed is exact dicts of exact keys
+    (in any order) and of values of exact JSON types, unique labels and every timestamp in
+    the canonical spelling; a date that does not exist, such as "2023-02-29", falls through."""
     if type(data) is not dict or data.keys() not in (_PR_KEYS, _OPEN_PR_KEYS):
         return None
-    values = _PR_TAKE(data)
-    closed_at, closer = data.get("closed_at"), data.get("closer")
-    if tuple(map(type, values)) != _PR_TYPES or not (
-        (closer is None or type(closer) is str)
-        and (closed_at is None or type(closed_at) is str and _CANONICAL(closed_at))
-    ):
+    values = list(_PR_TAKE(data if len(data) == len(_PR) else {**_PR_ABSENT, **data}))
+    if tuple(map(type, values)) not in _PR_TYPES:
         return None
-    number, author, state, created_at, labels, kind, files = values
-    if not (_CANONICAL(created_at) and _ONLY_STR.issuperset(map(type, labels))
-            and _ONLY_STR.issuperset(map(type, files))):
-        return None
-    label_set = frozenset(labels)
-    if len(label_set) != len(labels):
-        return None
-    fromisoformat = datetime.fromisoformat
-    events = []
     try:
-        created_at = fromisoformat(created_at[:-1] + "+00:00")
-        if closed_at is not None:
-            closed_at = fromisoformat(closed_at[:-1] + "+00:00")
-        for key, cls, keys, take, types, stamp in _EVENT_DECODERS:
-            raw_events = data[key]
-            if type(raw_events) is not list:
-                return None
-            decoded = []
-            for raw in raw_events:
+        for i, fast in _PR_FAST:
+            if values[i] is not None:  # a null, where the field may be null
+                values[i] = fast(values[i])
+        for i, cls, keys, take, types, stamp in _PR_EVENTS:
+            events = []
+            for raw in values[i]:
                 if type(raw) is not dict or raw.keys() != keys:
                     return None
                 event = list(take(raw))
-                if list(map(type, event)) != types or not _CANONICAL(event[stamp]):
+                if list(map(type, event)) != types:
                     return None
-                event[stamp] = fromisoformat(event[stamp][:-1] + "+00:00")
-                decoded.append(cls(*event))
-            events.append(tuple(decoded))
-    except ValueError:  # a date that does not exist
+                event[stamp] = _canonical_instant(event[stamp])
+                events.append(cls(*event))
+            values[i] = tuple(events)
+    except ValueError:
         return None
-    return PullRequest(number, author, state, created_at, closed_at, closer, label_set, kind,
-                       tuple(files), *events)
-
-
-def _decode_events(data: dict, key: str, cls: type, where: str) -> tuple:
-    """The event list ``data[key]`` read by the checked readers, which name any fault."""
-    readers = _EVENT_FIELDS[cls][0]
-    events = []
-    for i, raw in enumerate(_require_list(_take(data, key, where), f"{where}.{key}")):
-        at = f"{where}.{key}[{i}]"
-        raw = _require_dict(raw, at)
-        _check_keys(raw, readers, at)
-        events.append(cls(*[read(raw, name, at) for name, read in readers.items()]))
-    return tuple(events)
+    return PullRequest(*values)
 
 
 def _decode_user(data: Any, where: str) -> UserProfile:
-    data = _require_dict(data, where)
-    _check_keys(data, _USER_KEYS, where)
-    login = _str_field(data, "login", where)
-    closure: tuple[int, int] | None = None
-    if data.get("closure_history") is not None:
-        at = f"{where}.closure_history"
-        counts = _require_dict(data["closure_history"], at)
-        _check_keys(counts, ("closed_count", "accepted_count"), at)
-        closure = (_int_field(counts, "closed_count", at), _int_field(counts, "accepted_count", at))
-    unknown = data.get("permission_unknown", False)
-    if not isinstance(unknown, bool):
-        raise SnapshotParseError(f"{where}: field 'permission_unknown' must be a boolean")
-    return UserProfile(
-        login=login,
-        followers=_int_field(data, "followers", where),
-        orgs=frozenset(_string_list(data, "orgs", where)),
-        permission=_str_field(data, "permission", where),
-        closure_history=closure,
-        permission_unknown=unknown,
-    )
+    return _decode_record(UserProfile, _USER, data, where)
 
 
 def _decode_pull(data: Any, index: int) -> PullRequest:
     where = f"pulls[{index}]"
     data = _require_dict(data, where)
-    _check_keys(data, _PR_KEYS, where)
-    number = _int_field(data, "number", where)
-    where = f"PR {number}"
-
-    closed_at = None if data.get("closed_at") is None else _time_field(data, "closed_at", where)
-    closer = _optional_str(data, "closer", where)
-
-    labels = _string_list(data, "labels", where)
-    if len(set(labels)) != len(labels):
-        raise SnapshotValidationError(f"{where}: duplicate label in 'labels'")
-
-    return PullRequest(
-        number=number,
-        author=_str_field(data, "author", where),
-        state=_str_field(data, "state", where),
-        created_at=_time_field(data, "created_at", where),
-        closed_at=closed_at,
-        closer=closer,
-        labels=frozenset(labels),
-        contribution_kind=_str_field(data, "contribution_kind", where),
-        files=tuple(_string_list(data, "files", where)),
-        **{key: _decode_events(data, key, cls, where) for key, cls in _EVENT_LISTS},
-    )
+    _check_keys(data, _PR, where)
+    values = []
+    for key, (_, kind) in _PR.items():
+        values.append(kind.read(data, key, where))
+        where = f"PR {values[0]}"  # the number, read first, names the PR in every later message
+    return PullRequest(*values)
 
 
 def snapshot_from_dict(data: Any) -> RepoSnapshot:
@@ -528,7 +554,7 @@ def snapshot_from_dict(data: Any) -> RepoSnapshot:
     data = _require_dict(data, "snapshot")
     _check_keys(data, ("repo", "users", "pulls"), "snapshot")
     repo = _require_dict(_take(data, "repo", "snapshot"), "repo")
-    _check_keys(repo, ("owner", "name", "fetched_at"), "repo")
+    _check_keys(repo, _REPO, "repo")
 
     users: dict[str, UserProfile] = {}
     for i, raw in enumerate(_require_list(_take(data, "users", "snapshot"), "users")):
@@ -542,13 +568,8 @@ def snapshot_from_dict(data: Any) -> RepoSnapshot:
         for i, raw in enumerate(_require_list(_take(data, "pulls", "snapshot"), "pulls"))
     )
 
-    snapshot = RepoSnapshot(
-        repo_owner=_str_field(repo, "owner", "repo"),
-        repo_name=_str_field(repo, "name", "repo"),
-        fetched_at=_time_field(repo, "fetched_at", "repo"),
-        pulls=pulls,
-        users=users,
-    )
+    snapshot = RepoSnapshot(*[kind.read(repo, key, "repo") for key, (_, kind) in _REPO.items()],
+                            pulls=pulls, users=users)
     validate(snapshot)
     return snapshot
 
@@ -726,81 +747,39 @@ def _validate_pull(pr: PullRequest, snapshot: RepoSnapshot) -> None:
 # Encode (domain objects -> JSON dict)
 # ---------------------------------------------------------------------------
 
-def _encode_user(profile: UserProfile) -> dict:
-    out: dict[str, Any] = {
-        "login": profile.login,
-        "followers": profile.followers,
-        "orgs": sorted(profile.orgs),
-        "permission": profile.permission,
-    }
-    if profile.closure_history is not None:
-        closed, accepted = profile.closure_history
-        out["closure_history"] = {"closed_count": closed, "accepted_count": accepted}
-    if profile.permission_unknown:
-        out["permission_unknown"] = True
-    return out
-
-
-def _pull_head(pr: PullRequest) -> dict:
-    """The JSON-dict form of a PR's fields that precede its event lists."""
-    out: dict[str, Any] = {
-        "number": pr.number,
-        "author": pr.author,
-        "state": pr.state,
-        "created_at": format_timestamp(pr.created_at),
-    }
-    if pr.closed_at is not None:
-        out["closed_at"] = format_timestamp(pr.closed_at)
-    if pr.closer is not None:
-        out["closer"] = pr.closer
-    out["labels"] = sorted(pr.labels)
-    out["contribution_kind"] = pr.contribution_kind
-    out["files"] = list(pr.files)
-    return out
-
-
-def _encode_pull(pr: PullRequest) -> dict:
-    out = _pull_head(pr)
-    for key, _ in _EVENT_LISTS:
-        out[key] = [_encode_event(event) for event in getattr(pr, key)]
-    return out
-
-
-def _encode_event(event: Any) -> dict:
-    readers, _, stamp, get, _ = _EVENT_FIELDS[type(event)]
-    values = list(get(event))
-    values[stamp] = format_timestamp(values[stamp])
-    return dict(zip(readers, values))
+def _encode(record: Any, table: dict) -> dict:
+    """The JSON-dict form of ``record``'s fields in ``table``; one at its absent value is left out."""
+    values = ((key, kind, getattr(record, f.name)) for key, (f, kind) in table.items())
+    return {key: value if kind.encode is None else kind.encode(value)
+            for key, kind, value in values if value is not kind.absent}
 
 
 # An event as indented_json writes it in a saved PR's event list: per class, its keys at
 # their indentation with a %s per value, its getter, its timestamp's position and its width.
 _EVENT_SEPARATOR = ",\n        "
 _EVENT_TEMPLATES = {
-    cls: ("{\n          " + ",\n          ".join(_encode_str(name) + ": %s" for name in readers)
-          + "\n        }", get, stamp, len(readers))
-    for cls, (readers, _, stamp, get, _) in _EVENT_FIELDS.items()
+    cls: ("{\n          " + ",\n          ".join(_encode_str(key) + ": %s" for key in table)
+          + "\n        }", get, stamp, len(table))
+    for cls, (table, stamp, get, _, _) in _EVENT_CODECS.items()
 }
+_PR_HEAD = {key: row for key, row in _PR.items() if row[0].type not in _EVENT_LISTS}  # before the events
 
 
 def _event_items(events: tuple) -> str:
-    """The items of a non-empty event list as indented_json writes them in a saved PR:
-    all values encoded in one call and filled into the class's template in one."""
-    kind, *mixed = set(map(type, events))
-    if mixed:  # a list built in code that mixes classes: each event from its own template
-        return _EVENT_SEPARATOR.join(map(_event_items, zip(events)))
-    template, get, stamp, width = _EVENT_TEMPLATES[kind]
+    """The items of a non-empty event list of one class as indented_json writes them in a
+    saved PR: all values encoded in one call and filled into the class's template in one."""
+    template, get, stamp, width = _EVENT_TEMPLATES[type(events[0])]
     values = [value for event in events for value in get(event)]
     values[stamp::width] = map(format_timestamp, values[stamp::width])
     return _EVENT_SEPARATOR.join([template] * len(events)) % tuple(indented_items(values, "\n          "))
 
 
 def _pull_text(pr: PullRequest) -> str:
-    """``indented_json(_encode_pull(pr), "\\n    ")``, each event list written by _event_items."""
-    head = _pull_head(pr)
+    """``indented_json(_encode(pr, _PR), "\\n    ")``, each event list written by _event_items."""
+    head = _encode(pr, _PR_HEAD)
     texts = indented_items(head.values(), "\n      ")
     parts = [_encode_str(key) + ": " + text for key, text in zip(head, texts)]
-    for key, _ in _EVENT_LISTS:
+    for key in [key for key in _PR if key not in _PR_HEAD]:
         events = getattr(pr, key)
         parts.append(f'"{key}": ' + ("[\n        " + _event_items(events) + "\n      ]" if events else "[]"))
     return "{\n      " + ",\n      ".join(parts) + "\n    }"
@@ -808,22 +787,30 @@ def _pull_text(pr: PullRequest) -> str:
 
 def _snapshot_document(snapshot: RepoSnapshot) -> dict:
     """The snapshot's JSON-dict form, with its PullRequests themselves under "pulls"."""
-    return {
-        "repo": {
-            "owner": snapshot.repo_owner,
-            "name": snapshot.repo_name,
-            "fetched_at": format_timestamp(snapshot.fetched_at),
-        },
-        "users": [_encode_user(snapshot.users[login]) for login in sorted(snapshot.users)],
-        "pulls": snapshot.pulls,
-    }
+    users = [_encode(snapshot.users[login], _USER) for login in sorted(snapshot.users)]
+    return {"repo": _encode(snapshot, _REPO), "users": users, "pulls": snapshot.pulls}
 
 
 def snapshot_to_dict(snapshot: RepoSnapshot) -> dict:
     """Encode a snapshot into its JSON-dict form (users sorted by login)."""
     document = _snapshot_document(snapshot)
-    document["pulls"] = [_encode_pull(pr) for pr in snapshot.pulls]
+    document["pulls"] = [_encode(pr, _PR) for pr in snapshot.pulls]
     return document
+
+
+def _check(record: Any, cls: type, table: dict, where: str) -> None:
+    """Raise a SnapshotValidationError naming the first value of ``record``, a ``cls``, that
+    save_snapshot would not write as a load reads it back, such as an event of another class."""
+    if type(record) is not cls:
+        raise SnapshotValidationError(f"{where}: expected a {cls.__name__}, got {_typename(record)}")
+    for key, (f, kind) in table.items():
+        value = getattr(record, f.name)
+        if value is not kind.absent and not kind.valid(value):
+            if f.type in _EVENT_LISTS and isinstance(value, tuple):  # name the event at fault
+                cls = _EVENT_LISTS[f.type]
+                for i, event in enumerate(value):
+                    _check(event, cls, _EVENT_CODECS[cls][0], f"{where}.{key}[{i}]")
+            raise SnapshotValidationError(f"{where}: field '{key}' must be {f.type}, got {_typename(value)}")
 
 
 def indented_json(value: Any, newline: str = "\n") -> str:
@@ -908,5 +895,13 @@ def write_whole(path: str | Path, chunks: Iterable[str], mode: int = 0o666) -> N
 
 
 def save_snapshot(snapshot: RepoSnapshot, path: str | Path) -> None:
-    """Write a snapshot file, one chunk per PR; the output reloads to a structurally equal value."""
+    """Write a snapshot file, one chunk per PR, which loads to an equal snapshot. One that
+    holds a value not of its field's type or fails ``validate`` is a SnapshotValidationError,
+    and no file is written."""
+    _check(snapshot, RepoSnapshot, _REPO, "repo")
+    for login, profile in snapshot.users.items():
+        _check(profile, UserProfile, _USER, f"user '{login}'")
+    for i, pr in enumerate(snapshot.pulls):
+        _check(pr, PullRequest, _PR, f"PR {pr.number}" if type(pr) is PullRequest else f"pulls[{i}]")
+    validate(snapshot)
     write_whole(path, json_chunks(_snapshot_document(snapshot), "pulls", _pull_text))

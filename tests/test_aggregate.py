@@ -203,9 +203,17 @@ def test_plan_rounding_is_half_up():
     assert SamplePlan(per_repo_n=3, accept_ratio=0.5, seed=0).accepted_count == 2
 
 
+def test_plan_counts_are_exact_up_to_2_to_the_53():
+    plan = SamplePlan(per_repo_n=2**53, accept_ratio=0.75, seed=0)
+    assert (plan.accepted_count, plan.rejected_count) == (3 * 2**51, 2**51)
+    # the documented float formula: exact arithmetic on the float 0.3 would give 43,765
+    assert SamplePlan(per_repo_n=145_885, accept_ratio=0.3, seed=0).accepted_count == 43_766
+
+
 def test_plan_validates_inputs():
     for plan, message in [
         (dict(per_repo_n=0, accept_ratio=0.5, seed=0), "per_repo_n must be >= 1, got 0"),
+        (dict(per_repo_n=2**53 + 1, accept_ratio=0.5, seed=0), "per_repo_n must be <= 2**53, got 9007199254740993"),
         (dict(per_repo_n=5, accept_ratio=1.5, seed=0), "accept_ratio must be in [0, 1], got 1.5"),
         # a plan is checked as a config: by type first, naming the key
         (dict(per_repo_n=True, accept_ratio=0.5, seed=0), "per_repo_n must be an integer, got bool"),

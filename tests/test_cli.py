@@ -116,6 +116,20 @@ def test_weights_whose_sum_overflows_exit_1_before_the_snapshot_is_read(tmp_path
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_sample_size_beyond_2_to_the_53_exits_1(source, snapshot_file, tmp_path, capsys):
+    huge = "1" + "0" * 400  # once a float overflow that escaped run
+    args = ["sample", "--in", str(snapshot_file), "--out", str(tmp_path / "sample.json")]
+    if source == "flag":
+        args += ["--n", huge]
+    else:
+        (tmp_path / "huge.conf").write_text(f"per_repo_n = {huge}\n", encoding="utf-8")
+        args += ["--config", str(tmp_path / "huge.conf")]
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"prtrust: per_repo_n must be <= 2**53, got {huge}\n"
+    assert not (tmp_path / "sample.json").exists()
+
+
 def test_unknown_flag_prints_usage_and_exits_1(capsys):
     code = run(["analyze", "--frobnicate"])
     assert code == 1

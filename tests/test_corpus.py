@@ -42,6 +42,7 @@ from prtrust import (
     SnapshotError,
     SnapshotParseError,
     SnapshotValidationError,
+    UserProfile,
     classify_contribution,
     load_snapshot,
     outcome,
@@ -1340,14 +1341,21 @@ def test_early_years_round_trip(year, tmp_path):
     assert load_snapshot(path) == snap
 
 
-def test_a_failed_save_leaves_the_earlier_file_as_it_was(rich_snapshot, tmp_path):
+def test_a_failed_save_leaves_the_earlier_file_as_it_was(rich_snapshot, tmp_path, monkeypatch):
     path = tmp_path / "snap.json"
     save_snapshot(rich_snapshot, path)
     before = path.read_bytes()
-    # a naive time in the last PR fails the save after the earlier PRs reached the temp file
-    last = dataclasses.replace(rich_snapshot.pulls[-1], created_at=datetime(2022, 1, 1, 12))
-    with pytest.raises(SnapshotValidationError, match="lacks a UTC offset"):
-        save_snapshot(dataclasses.replace(rich_snapshot, pulls=rich_snapshot.pulls[:-1] + (last,)), path)
+    # writing the last PR fails the save after the earlier PRs reached the temp file
+    last, pull_text = rich_snapshot.pulls[-1], corpus._pull_text
+
+    def fail_on_the_last(pr):
+        if pr is last:
+            raise OSError("no space left on device")
+        return pull_text(pr)
+
+    monkeypatch.setattr(corpus, "_pull_text", fail_on_the_last)
+    with pytest.raises(OSError, match="no space left"):
+        save_snapshot(rich_snapshot, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
 
@@ -1469,24 +1477,30 @@ _EVENT_KEYS = ("commits", "issue_comments", "review_comments", "reviews", "revie
 def _events(key: str, count: int, when: datetime = _UTC_NOON, text: str = "x") -> tuple:
     """``count`` events built in code for the event list ``key``, each holding ``text``."""
     make = {
-        "commits": lambda i: CommitEvent(f"{i:x}{text}", text, when),
+        "commits": lambda i: CommitEvent(f"ab{i:x}", text, when),
         "issue_comments": lambda i: Comment(i, text, when, f"{text} {i}"),
         "review_comments": lambda i: Comment(1000 + i, text, when, text * 2),
-        "reviews": lambda i: Review(2000 + i, text, when, text, f"{i}{text}"),
+        "reviews": lambda i: Review(2000 + i, text, when, "approved", f"{i}{text}"),
         "review_requests": lambda i: ReviewRequest(f"{text}{i}", when),
     }[key]
     return tuple(make(i) for i in range(count))
 
 
 def _with_pull(snap, **changes):
-    """``snap`` with its first PR changed by ``changes``; a save does not validate it."""
-    return dataclasses.replace(snap, pulls=(dataclasses.replace(snap.pulls[0], **changes),) + snap.pulls[1:])
+    """``snap`` with its first PR changed by ``changes``, and a user for each login the PR
+    names that ``snap`` lacks, so that a save validates it."""
+    pr = dataclasses.replace(snap.pulls[0], **changes)
+    named = [pr.author] + [getattr(event, "author", getattr(event, "requestee", None))
+                           for key in _EVENT_KEYS for event in getattr(pr, key)]
+    users = {login: UserProfile(login, 0, frozenset(), "read") for login in named if isinstance(login, str)}
+    return dataclasses.replace(snap, pulls=(pr,) + snap.pulls[1:], users={**users, **snap.users})
 
 
 def _assert_saved_as_json_dumps(snap, path) -> None:
     save_snapshot(snap, path)
     expected = json.dumps(snapshot_to_dict(snap), indent=2, ensure_ascii=False) + "\n"
     assert path.read_bytes() == expected.encode("utf-8", "backslashreplace")  # as write_whole writes it
+    assert load_snapshot(path) == snap
 
 
 @pytest.mark.parametrize("text", ["%", "%s", "%(x)s %d %%", "{", "}", "{}", '"', '\\"', "\ud83d",
@@ -1514,28 +1528,84 @@ _JST = timezone(timedelta(hours=9))
 
 
 @pytest.mark.parametrize("events", [
-    {"issue_comments": (Comment(True, "alice", _UTC_NOON, "a bool id"),)},
     {"reviews": (Review(_Level.HIGH, "bob", _UTC_NOON, "approved", "an int subclass id"),)},
     {"review_comments": (Comment(3, _Text("é✓"), _UTC_NOON, _Text("a str subclass")),)},
     {"commits": (CommitEvent(_Text("ab12"), "alice", _UTC_NOON.astimezone(_JST)),)},
     {"review_requests": (ReviewRequest("carol", datetime(2022, 1, 5, 21, tzinfo=_JST)),
                          ReviewRequest(_Text("dan"), _UTC_NOON))},
-    # a list that mixes classes is written event by event, each from its own class
-    {"issue_comments": (Comment(4, "alice", _UTC_NOON, "one"), Review(5, "bob", _UTC_NOON, "approved", ""),
-                        Comment(6, "alice", _UTC_NOON, "two"))},
-], ids=["bool-id", "int-subclass-id", "str-subclass", "jst-commit", "jst-request", "mixed-classes"])
+], ids=["int-subclass-id", "str-subclass", "jst-commit", "jst-request"])
 def test_events_built_in_code_are_saved_as_json_dumps(rich_snapshot, events, tmp_path):
     _assert_saved_as_json_dumps(_with_pull(rich_snapshot, **events), tmp_path / "snap.json")
 
 
-def test_a_list_holding_a_non_event_raises_as_its_dict_form_does(rich_snapshot, tmp_path):
-    snap = _with_pull(rich_snapshot, issue_comments=(Comment(1, "alice", _UTC_NOON, "hi"), "not an event"))
-    with pytest.raises(KeyError) as expected:
-        snapshot_to_dict(snap)
-    with pytest.raises(KeyError) as raised:
+# (name, changes to the rich fixture's first PR, the whole message): each snapshot, built in
+# code, would be saved as a file that does not load, or loads to an unequal snapshot.
+_UNSAVABLE = [
+    ("bool-id", {"issue_comments": (Comment(True, "alice", _UTC_NOON, "a bool id"),)},
+     "PR 1.issue_comments[0]: field 'id' must be int, got bool"),
+    ("mixed-classes",
+     {"issue_comments": (Comment(4, "alice", _UTC_NOON, "one"), Review(5, "bob", _UTC_NOON, "approved", ""),
+                         Comment(6, "alice", _UTC_NOON, "two"))},
+     "PR 1.issue_comments[1]: expected a Comment, got Review"),
+    ("non-event", {"issue_comments": (Comment(1, "alice", _UTC_NOON, "hi"), "not an event")},
+     "PR 1.issue_comments[1]: expected a Comment, got str"),
+    ("review-in-issue_comments", {"issue_comments": (Review(5, "bob", _UTC_NOON, "approved", ""),)},
+     "PR 1.issue_comments[0]: expected a Comment, got Review"),
+    ("list-of-events", {"reviews": [Review(5, "bob", _UTC_NOON, "approved", "")]},
+     "PR 1: field 'reviews' must be tuple[Review, ...], got list"),
+    ("sha-not-hex", {"commits": (CommitEvent("0%", "alice", _UTC_NOON),)},
+     "PR 1: commit sha '0%' is not a hex string"),
+    ("str-timestamp", {"review_requests": (ReviewRequest("bob", "2022-01-05T12:00:00Z"),)},
+     "PR 1.review_requests[0]: field 'requested_at' must be datetime, got str"),
+    ("float-number", {"number": 1.0}, "PR 1.0: field 'number' must be int, got float"),
+    ("str-closed_at", {"closed_at": "2022-01-03T00:00:00Z"},
+     "PR 1: field 'closed_at' must be datetime | None, got str"),
+    ("list-labels", {"labels": ["bug"]}, "PR 1: field 'labels' must be frozenset[str], got list"),
+    ("bytes-file", {"files": (b"setup.py",)}, "PR 1: field 'files' must be tuple[str, ...], got tuple"),
+]
+
+
+@pytest.mark.parametrize("changes, message", [pytest.param(*case[1:], id=case[0]) for case in _UNSAVABLE])
+def test_a_save_rejects_a_snapshot_a_load_would_not_read_back(rich_snapshot, changes, message, tmp_path):
+    snap = _with_pull(rich_snapshot, **changes)
+    with pytest.raises(SnapshotValidationError) as err:
         save_snapshot(snap, tmp_path / "snap.json")
-    assert raised.value.args == expected.value.args
+    assert str(err.value) == message
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where, message", [
+    ("repo", "repo: field 'owner' must be str, got NoneType"),
+    ("user", "user 'alice': field 'followers' must be int, got bool"),
+    ("user-closure", "user 'alice': field 'closure_history' must be tuple[int, int] | None, got list"),
+    ("user-class", "user 'alice': expected a UserProfile, got dict"),
+    ("pull-class", "pulls[0]: expected a PullRequest, got dict"),
+])
+def test_a_save_checks_the_repo_header_and_every_user(rich_snapshot, where, message, tmp_path):
+    alice = rich_snapshot.users["alice"]
+    snap = {
+        "repo": dataclasses.replace(rich_snapshot, repo_owner=None),
+        "user": _with_user(rich_snapshot, dataclasses.replace(alice, followers=True)),
+        "user-closure": _with_user(rich_snapshot, dataclasses.replace(alice, closure_history=[2, 1])),
+        "user-class": _with_user(rich_snapshot, {"login": "alice"}),
+        "pull-class": dataclasses.replace(rich_snapshot, pulls=({"number": 1},) + rich_snapshot.pulls[1:]),
+    }[where]
+    with pytest.raises(SnapshotValidationError) as err:
+        save_snapshot(snap, tmp_path / "snap.json")
+    assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+def _with_user(snap, profile):
+    return dataclasses.replace(snap, users={**snap.users, "alice": profile})
+
+
+def test_snapshot_to_dict_writes_each_event_of_a_mixed_list_by_its_own_class(rich_snapshot):
+    """The dict form is not checked: it is what save_snapshot would write, fault and all."""
+    review = Review(5, "bob", _UTC_NOON, "approved", "")
+    encoded = snapshot_to_dict(_with_pull(rich_snapshot, issue_comments=(review,)))
+    assert encoded["pulls"][0]["issue_comments"] == [
+        {"id": 5, "author": "bob", "submitted_at": "2022-01-05T12:00:00Z", "verdict": "approved", "body": ""}]
 
 
 @pytest.mark.parametrize("key", _EVENT_KEYS)
