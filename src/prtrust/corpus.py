@@ -506,9 +506,10 @@ _PR_EVENTS = tuple((i, cls, table.keys(), take, types, stamp)
 
 def _fast_pull(data: Any) -> PullRequest | None:
     """The PullRequest of a well-formed pull, read with no checked reader, or None, and
-    _decode_pull then reads it or names its fault. Well-formed is exact dicts of exact keys
-    (in any order) and of values of exact JSON types, unique labels and every timestamp in
-    the canonical spelling; a date that does not exist, such as "2023-02-29", falls through."""
+    _decode_pull then reads it or names its fault. Well-formed is as save_snapshot writes:
+    dicts of exactly their table's keys (in any order; a PR's nullable ones may be absent),
+    values of their exact JSON types, unique labels, and every timestamp in the canonical
+    spelling. A date that does not exist, such as "2023-02-29", falls through."""
     if type(data) is not dict or data.keys() not in (_PR_KEYS, _OPEN_PR_KEYS):
         return None
     values = list(_PR_TAKE(data if len(data) == len(_PR) else {**_PR_ABSENT, **data}))

@@ -10,9 +10,11 @@ import itertools
 import json
 import re
 import stat
+import tempfile
 import time
 from collections import OrderedDict
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1475,7 +1477,8 @@ _EVENT_KEYS = ("commits", "issue_comments", "review_comments", "reviews", "revie
 
 
 def _events(key: str, count: int, when: datetime = _UTC_NOON, text: str = "x") -> tuple:
-    """``count`` events built in code for the event list ``key``, each holding ``text``."""
+    """``count`` events built in code for the event list ``key``, each holding ``text`` in
+    every string but a sha and a verdict, which a save checks."""
     make = {
         "commits": lambda i: CommitEvent(f"ab{i:x}", text, when),
         "issue_comments": lambda i: Comment(i, text, when, f"{text} {i}"),
@@ -1507,7 +1510,7 @@ def _assert_saved_as_json_dumps(snap, path) -> None:
                                   "a \udfff b"])
 def test_template_syntax_in_values_is_saved_as_written(rich_snapshot, text, tmp_path):
     """Values are filled in by %, which reads no format in them: every string of every
-    event class, the PR's own strings and a login hold ``text``."""
+    event class but a sha and a verdict, the PR's own strings and logins hold ``text``."""
     events = {key: _events(key, 2, text=text) for key in _EVENT_KEYS}
     _assert_saved_as_json_dumps(_with_pull(rich_snapshot, author=text, labels=frozenset({text}), **events),
                                 tmp_path / "snap.json")
@@ -1598,6 +1601,48 @@ def test_a_save_checks_the_repo_header_and_every_user(rich_snapshot, where, mess
 
 def _with_user(snap, profile):
     return dataclasses.replace(snap, users={**snap.users, "alice": profile})
+
+
+# Values built in code for any field: of every field type and of none, valid or not.
+_CODE_VALUES = (None, True, 0, 7, _Level.HIGH, 1.5, "", "ab12", "0%", "bob", _Text("alice"), b"x", (), [],
+                ("a",), ("a", "a"), ["a"], frozenset(), frozenset({"bug"}), frozenset({7}), (2, 1), (1, 2),
+                _UTC_NOON, datetime(2022, 1, 5), _UTC_NOON.astimezone(_JST), "2022-01-05T12:00:00Z",
+                Comment(9, "bob", _UTC_NOON, "hi"), (Comment(9, "bob", _UTC_NOON, "hi"),),
+                (Review(9, "bob", _UTC_NOON, "approved", ""),), {"login": "bob"})
+
+
+def _replaced(snap, record: str, name: str, value):
+    """``snap`` with the field ``name`` of its repo header, user 'alice' or first PR set to
+    ``value``, or with that PR's list ``record`` holding one event whose field it is."""
+    if record == "repo":
+        return dataclasses.replace(snap, **{name: value})
+    if record == "user":
+        return _with_user(snap, dataclasses.replace(snap.users["alice"], **{name: value}))
+    pr = snap.pulls[0]
+    if record == "pr":
+        return dataclasses.replace(snap, pulls=(dataclasses.replace(pr, **{name: value}),) + snap.pulls[1:])
+    return _with_pull(snap, **{record: (dataclasses.replace(_events(record, 1)[0], **{name: value}),)})
+
+
+_FIELDS_BUILT_IN_CODE = [("repo", "repo_owner"), ("repo", "repo_name"), ("repo", "fetched_at")] + [
+    (record, f.name) for record, cls in [("user", UserProfile), ("pr", corpus.PullRequest), ("commits", CommitEvent),
+                                         ("issue_comments", Comment), ("reviews", Review),
+                                         ("review_requests", ReviewRequest)]
+    for f in dataclasses.fields(cls)]
+
+
+@given(st.sampled_from(_FIELDS_BUILT_IN_CODE), st.sampled_from(_CODE_VALUES))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_saved_snapshot_loads_equal_or_is_not_written(field, value):
+    snap = _replaced(snapshot_from_dict(rich_snapshot_dict()), *field, value)
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "snap.json"
+        try:
+            save_snapshot(snap, path)
+        except SnapshotValidationError:
+            assert list(path.parent.iterdir()) == []
+        else:
+            assert load_snapshot(path) == snap
 
 
 def test_snapshot_to_dict_writes_each_event_of_a_mixed_list_by_its_own_class(rich_snapshot):
