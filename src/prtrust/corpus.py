@@ -26,7 +26,6 @@ import json
 import math
 import os
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
@@ -71,8 +70,10 @@ def parse_timestamp(value: Any, where: str) -> datetime:
     precision); one with no offset, or whose UTC instant leaves years 1-9999, is rejected."""
     if not isinstance(value, str):
         raise SnapshotParseError(f"{where}: timestamp must be a string, got {_typename(value)}")
-    with suppress(ValueError):  # another spelling, or a date that does not exist, named below
+    try:
         return _canonical_instant(value)
+    except ValueError:  # another spelling, or a date that does not exist, which is named below
+        pass
     match = _TIMESTAMP.fullmatch(value.strip())
     if match is None:
         raise SnapshotParseError(f"{where}: invalid timestamp {value!r}")
