@@ -393,7 +393,7 @@ def _is_strings(values: Any, container: type) -> bool:
 
 
 def _is_time(value: Any) -> bool:
-    if isinstance(value, datetime) and value.utcoffset() is None:
+    if isinstance(value, datetime) and value.tzinfo is not timezone.utc and value.utcoffset() is None:
         format_timestamp(value)  # which names the naive value
     return isinstance(value, datetime)
 
