@@ -345,7 +345,10 @@ def _str_field(data: dict, key: str, where: str) -> str:
 
 def _optional_str(data: Any, key: str, where: str) -> str | None:
     """``data[key]`` when it is a string, None when it is null or absent."""
-    return _FIELD_KINDS["str | None"].read(_require_dict(data, where), key, where)
+    value = _require_dict(data, where).get(key)
+    if value is not None and not isinstance(value, str):
+        raise SnapshotParseError(f"{where}: field '{key}' must be a string, got {_typename(value)}")
+    return value
 
 
 def _int_field(data: dict, key: str, where: str) -> int:
@@ -428,7 +431,7 @@ _CLOSURE = dict.fromkeys(("closed_count", "accepted_count"), (None, _INT))  # th
 _FIELD_KINDS = {
     "int": _INT,
     "str": _STR,
-    "str | None": _or_none(_STR),
+    "str | None": _STR._replace(read=_optional_str, json=(str, type(None)), absent=None),
     "datetime": _TIME,
     "datetime | None": _or_none(_TIME),
     "bool": _Kind(_bool_field, None, lambda value: isinstance(value, bool), absent=False),
@@ -488,6 +491,7 @@ def _event_list(cls: type) -> _Kind:
 
 _FIELD_KINDS.update({annotation: _event_list(cls) for annotation, cls in _EVENT_LISTS.items()})
 _USER = _table(UserProfile)
+_decode_user = partial(_decode_record, UserProfile, _USER)  # (data, where) -> UserProfile
 _PR = _table(PullRequest, labels=_FIELD_KINDS["frozenset[str]"]._replace(read=_label_set))  # orgs may repeat
 _REPO = {k: (f, _FIELD_KINDS[f.type]) for k, f in zip(("owner", "name", "fetched_at"), fields(RepoSnapshot))}
 
@@ -534,10 +538,6 @@ def _fast_pull(data: Any) -> PullRequest | None:
     except ValueError:
         return None
     return PullRequest(*values)
-
-
-def _decode_user(data: Any, where: str) -> UserProfile:
-    return _decode_record(UserProfile, _USER, data, where)
 
 
 def _decode_pull(data: Any, index: int) -> PullRequest:
