@@ -473,7 +473,7 @@ _EVENT_LISTS = {f"tuple[{cls.__name__}, ...]": cls for cls in _EVENT_CODECS}
 
 def _event_list(cls: type) -> _Kind:
     """The kind of ``tuple[cls, ...]``, a list of events of class ``cls``; _fast_pull decodes it itself."""
-    table, _, get, _, _ = _EVENT_CODECS[cls]
+    table = _EVENT_CODECS[cls][0]
 
     def read(data: dict, key: str, where: str) -> tuple:
         at = f"{where}.{key}"
@@ -481,9 +481,8 @@ def _event_list(cls: type) -> _Kind:
                      for i, raw in enumerate(_require_list(_take(data, key, where), at)))
 
     def valid(events: Any) -> bool:
-        return (isinstance(events, tuple) and set(map(type, events)) <= {cls}
-                and all(all(map(kind.valid, values))
-                        for (_, kind), values in zip(table.values(), zip(*map(get, events)))))
+        return isinstance(events, tuple) and set(map(type, events)) <= {cls} and all(
+            all(map(kind.valid, map(attrgetter(name), events))) for name, (_, kind) in table.items())
 
     return _Kind(read, lambda events: [_encode(event, _EVENT_CODECS[type(event)][0]) for event in events],
                  valid, (list,))
