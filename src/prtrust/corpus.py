@@ -474,15 +474,16 @@ _EVENT_LISTS = {f"tuple[{cls.__name__}, ...]": cls for cls in _EVENT_CODECS}
 def _event_list(cls: type) -> _Kind:
     """The kind of ``tuple[cls, ...]``, a list of events of class ``cls``; _fast_pull decodes it itself."""
     table = _EVENT_CODECS[cls][0]
+    checks = [(attrgetter(name), kind.valid) for name, (_, kind) in table.items()]
 
     def read(data: dict, key: str, where: str) -> tuple:
         at = f"{where}.{key}"
         return tuple(_decode_record(cls, table, raw, f"{at}[{i}]")
                      for i, raw in enumerate(_require_list(_take(data, key, where), at)))
 
-    def valid(events: Any) -> bool:
-        return isinstance(events, tuple) and set(map(type, events)) <= {cls} and all(
-            all(map(kind.valid, map(attrgetter(name), events))) for name, (_, kind) in table.items())
+    def valid(events: Any) -> bool:  # each field's values checked in one pass
+        return isinstance(events, tuple) and (not events or {cls}.issuperset(map(type, events)) and all(
+            all(map(is_valid, map(get, events))) for get, is_valid in checks))
 
     return _Kind(read, lambda events: [_encode(event, _EVENT_CODECS[type(event)][0]) for event in events],
                  valid, (list,))
