@@ -809,9 +809,9 @@ def _check(record: Any, cls: type, table: dict, where: str) -> None:
         value = getattr(record, f.name)
         if value is not kind.absent and not kind.valid(value):
             if f.type in _EVENT_LISTS and isinstance(value, tuple):  # name the event at fault
-                cls = _EVENT_LISTS[f.type]
+                event_cls = _EVENT_LISTS[f.type]
                 for i, event in enumerate(value):
-                    _check(event, cls, _EVENT_CODECS[cls][0], f"{where}.{key}[{i}]")
+                    _check(event, event_cls, _EVENT_CODECS[event_cls][0], f"{where}.{key}[{i}]")
             raise SnapshotValidationError(f"{where}: field '{key}' must be {f.type}, got {_typename(value)}")
 
 
