@@ -1646,7 +1646,7 @@ def test_a_saved_snapshot_loads_equal_or_is_not_written(field, value):
 
 
 def test_snapshot_to_dict_writes_each_event_of_a_mixed_list_by_its_own_class(rich_snapshot):
-    """The dict form is not checked: it is what save_snapshot would write, fault and all."""
+    """The dict form is not checked: each event of a list is encoded by its own class."""
     review = Review(5, "bob", _UTC_NOON, "approved", "")
     encoded = snapshot_to_dict(_with_pull(rich_snapshot, issue_comments=(review,)))
     assert encoded["pulls"][0]["issue_comments"] == [
