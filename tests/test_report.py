@@ -33,6 +33,7 @@ from prtrust import (
     snapshot_from_dict,
 )
 from prtrust.aggregate import StratumSummary
+from prtrust.corpus import format_timestamp
 from prtrust.report import CSV_COLUMNS, bundle_from_dict
 
 
@@ -184,6 +185,142 @@ def test_json_key_order_is_stable(rich_bundle):
     assert list(data["profiles"][0]) == [
         "pr_number", "outcome", "overall", "coverage", "dimensions",
     ]
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
+# Evidence keys that a JSON writer must escape or keep as they are, first in each dict.
+_ODD_KEYS = ("%", "%s", "%%s %(x)s %d", '"quoted" \\', "naïve ключ 鍵", "half \ud83d", "")
+
+
+def _odd_keys(data):
+    for n, raw in enumerate(data["profiles"]):
+        for dim in raw["dimensions"].values():
+            dim["evidence"] = {**{key: [n, key] for key in _ODD_KEYS}, **dim["evidence"]}
+
+
+def _empty_transferred(data):
+    for raw in data["profiles"]:
+        raw["dimensions"]["transferred"]["evidence"] = {}
+
+
+def _nested(data):
+    for n, raw in enumerate(data["profiles"]):
+        raw["dimensions"]["transferred"]["evidence"]["nested"] = {
+            "a": [n, [2, {"b": {}}], [], {"c": [[], [{}]]}], "d": {"e": {"f": [None, True, "%s"]}},
+        }
+
+
+def _non_finite(data):
+    for raw in data["profiles"]:
+        raw["dimensions"]["action"]["evidence"].update(nan=math.nan, inf=math.inf, ninf=-math.inf)
+        raw["dimensions"]["personality"]["evidence"]["reviewer_propensities"]["x"] = math.nan
+
+
+def _many_shapes(data):
+    for n, raw in enumerate(data["profiles"]):
+        raw["dimensions"]["competence"]["evidence"][f"extra %s {n % 5}"] = n
+        if n % 3:
+            del raw["dimensions"]["action"]["evidence"]["comment_count"]
+
+
+def _transferred_as(value):
+    def edit(data):
+        for raw in data["profiles"]:
+            raw["dimensions"]["transferred"]["evidence"] = copy.deepcopy(value)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_odd_keys, id="odd-keys"),
+    pytest.param(_empty_transferred, id="empty-evidence"),
+    pytest.param(_nested, id="nested"),
+    pytest.param(_non_finite, id="nan-inf"),
+    pytest.param(_many_shapes, id="many-shapes"),
+    pytest.param(_transferred_as("a vouch, %s"), id="transferred-string"),
+    pytest.param(_transferred_as([1, {"%s": [2, {}]}, "b", []]), id="transferred-list"),
+    pytest.param(_transferred_as(3.5), id="transferred-number"),
+    pytest.param(_transferred_as(math.nan), id="transferred-nan"),
+])
+def test_a_loaded_report_that_analyze_never_writes_is_written_as_json_dumps(rich_bundle, edit):
+    data = json.loads(json_text(rich_bundle))
+    edit(data)
+    assert json_text(bundle_from_dict(data)) == _dumps(data)
+
+
+def _report_dict(bundle) -> dict:
+    """The JSON report's dict form, built key by key."""
+    return {
+        "version": bundle.version,
+        "repo": {"owner": bundle.repo_owner, "name": bundle.repo_name,
+                 "fetched_at": format_timestamp(bundle.fetched_at)},
+        "config": bundle.config,
+        "profiles": [
+            {"pr_number": p.pr_number, "outcome": p.outcome, "overall": p.overall, "coverage": p.coverage,
+             "dimensions": {d: {"available": p.scores[d].available, "score": p.scores[d].score,
+                                "evidence": p.scores[d].evidence} for d in p.scores}}
+            for p in bundle.profiles
+        ],
+        "summary": dataclasses.asdict(bundle.summary),
+    }
+
+
+def _with_evidence(bundle, evidence_of):
+    """``bundle`` with each profile's evidence replaced by ``evidence_of(n, dimension)``."""
+    profiles = tuple(
+        dataclasses.replace(p, scores={d: dataclasses.replace(s, evidence=evidence_of(n, d))
+                                       for d, s in p.scores.items()})
+        for n, p in enumerate(bundle.profiles)
+    )
+    return dataclasses.replace(bundle, profiles=profiles)
+
+
+@pytest.mark.parametrize("evidence_of", [
+    pytest.param(lambda n, d: {}, id="all-empty"),
+    pytest.param(lambda n, d: {key: n for key in _ODD_KEYS}, id="odd-keys"),
+    pytest.param(lambda n, d: {"%s": {"%s": ["%s", {"%": "%%"}]}, "n": n}, id="nested"),
+    pytest.param(lambda n, d: collections.OrderedDict(a=n, b=[d]), id="dict-subclass"),
+    pytest.param(lambda n, d: {"a": n} if n % 2 else [d, n], id="dict-or-list"),
+    pytest.param(lambda n, d: d if d == "transferred" else {"x": (n, d)}, id="string-and-tuple"),
+])
+def test_a_report_built_in_code_is_written_as_json_dumps(rich_bundle, evidence_of):
+    bundle = _with_evidence(rich_bundle, evidence_of)
+    assert json_text(bundle) == _dumps(_report_dict(bundle))
+
+
+def test_an_evidence_key_that_is_not_a_string_raises_the_encoders_error(rich_bundle):
+    bundle = _with_evidence(rich_bundle, lambda n, d: {"a": n, 1: n} if n == 4 else {"a": n})
+    with pytest.raises(TypeError, match="^first argument must be a string, not int$"):
+        json_text(bundle)
+
+
+def _deep_history_snapshot():
+    """60 PRs by 6 authors, closed by 3 maintainers: each author's record grows PR by PR."""
+    authors = [f"dev{k}" for k in range(6)]
+    maintainers = ("ma", "mb", "mc")
+    users = [user(login, followers=3 * k, orgs=("acme",) if k % 2 else ()) for k, login in enumerate(authors)]
+    users += [user(login, orgs=("acme",), permission="admin", closure=(20, 10)) for login in maintainers]
+    pulls = [
+        pull(n, authors[n % 6], state="merged" if n % 4 else "closed_unmerged", created=iso(n / 2),
+             closed=iso(n / 2, hours=9), closer=maintainers[n % 3],
+             issue_comments=[comment(n, maintainers[(n + 1) % 3], iso(n / 2, hours=2))] if n % 5 else [],
+             commits=[commit(f"{n:040x}", authors[n % 6], iso(n / 2, hours=3))])
+        for n in range(1, 61)
+    ]
+    return snapshot_from_dict(snapshot(pulls, users))
+
+
+def test_a_loaded_deep_history_report_is_written_as_its_own_bytes(tmp_path):
+    bundle = _bundle(_deep_history_snapshot())
+    rates = {type(p.scores["competence"].evidence["prior_acceptance_rate"]) for p in bundle.profiles}
+    assert rates == {float, type(None)}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    emit(bundle, "json", first)
+    emit(load_bundle(first), "json", second)
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text(encoding="utf-8") == _dumps(json.loads(first.read_text(encoding="utf-8")))
 
 
 def _edited_report(bundle, tmp_path, edit):
