@@ -12,13 +12,15 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
 from . import __version__
 from .aggregate import RepoSummary, TrustProfile, summarize
-from .corpus import (RepoSnapshot, format_timestamp, indented_items, json_chunks, parse_timestamp,
-                     read_json, write_whole)
+from .corpus import (RepoSnapshot, _encode_str, format_timestamp, indented_items, json_chunks,
+                     parse_timestamp, read_json, write_whole)
 from .errors import SnapshotParseError
 from .metrics import DIMENSIONS, DimensionScore, left_sum
 
@@ -87,25 +89,56 @@ def format_score(value: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 # One profile as it stands in the report's "profiles" list: its fixed keys, with a %s
-# for pr_number, outcome, overall and coverage, then per dimension for available,
-# score and evidence.
-_PROFILE = (
-    '{\n      "pr_number": %s,\n      "outcome": %s,\n      "overall": %s,\n      "coverage": %s,'
-    '\n      "dimensions": {'
-    + ",".join(f'\n        {json.dumps(d)}: {{\n          "available": %s,\n          "score": %s,'
-               '\n          "evidence": %s\n        }' for d in DIMENSIONS)
-    + "\n      }\n    }"
-)
+# for pr_number, outcome, overall and coverage, then per dimension for available and
+# score, and its evidence in the place of the second %s of _DIMENSION.
+_HEAD = ('{\n      "pr_number": %s,\n      "outcome": %s,\n      "overall": %s,\n      "coverage": %s,'
+         '\n      "dimensions": {')
+_DIMENSION = ('\n        %s: {\n          "available": %%s,\n          "score": %%s,'
+              '\n          "evidence": %s\n        }')
+_TAIL = "\n      }\n    }"
+_PROFILE = _HEAD + ",".join(_DIMENSION % (json.dumps(d), "%s") for d in DIMENSIONS) + _TAIL
+_SCORES_OF = itemgetter(*DIMENSIONS)
+# Evidence key shapes whose profile template is kept; a report has one or a few.
+_SHAPES_KEPT = 32
+
+
+@lru_cache(maxsize=_SHAPES_KEPT)
+def _profile_template(shape: tuple[tuple[str, ...], ...]) -> tuple[str, itemgetter]:
+    """The whole-profile template of evidence dicts with the keys ``shape``, one tuple per
+    dimension: _PROFILE with each evidence's keys written out and a %s per value. Also the
+    getter that picks its values, in the template's order, from the head, then the
+    available/score pairs, then all evidence values, as _profile_text encodes them."""
+    bodies, order = [], [0, 1, 2, 3]
+    value = 4 + 2 * len(DIMENSIONS)
+    for i, keys in enumerate(shape):
+        bodies.append("{\n            " + ",\n            ".join(
+            [_encode_str(key).replace("%", "%%") + ": %s" for key in keys]) + "\n          }"
+            if keys else "{}")
+        order += [4 + 2 * i, 5 + 2 * i, *range(value, value + len(keys))]
+        value += len(keys)
+    template = _HEAD + ",".join(_DIMENSION % (json.dumps(d), body) for d, body in zip(DIMENSIONS, bodies))
+    return template + _TAIL, itemgetter(*order)
 
 
 def _profile_text(profile: TrustProfile) -> str:
-    scores = [profile.scores[d] for d in DIMENSIONS]
-    return _PROFILE % (
-        *indented_items((profile.pr_number, profile.outcome, profile.overall, profile.coverage),
-                        "\n      "),
-        *indented_items([v for s in scores for v in (s.available, s.score, s.evidence)],
-                        "\n          "),
-    )
+    """A profile filled into the template of its evidence's key shape, its values encoded
+    one indentation level per call; evidence of another type than dict, or with a key that
+    is not a str, is walked whole by indented_items, as json.dumps would write it."""
+    scores = _SCORES_OF(profile.scores)
+    head = indented_items((profile.pr_number, profile.outcome, profile.overall, profile.coverage),
+                          "\n      ")
+    evidence = [s.evidence for s in scores]
+    if all(type(e) is dict for e in evidence):
+        try:
+            template, order = _profile_template(tuple(map(tuple, evidence)))
+        except TypeError:  # a key _encode_str refuses: the walk below raises its error
+            pass
+        else:
+            pairs = indented_items([v for s in scores for v in (s.available, s.score)], "\n          ")
+            values = indented_items([v for e in evidence for v in e.values()], "\n            ")
+            return template % order(head + pairs + values)
+    return _PROFILE % (*head, *indented_items(
+        [v for s in scores for v in (s.available, s.score, s.evidence)], "\n          "))
 
 
 def _json_chunks(bundle: ReportBundle) -> Iterator[str]:

@@ -32,6 +32,7 @@ from prtrust import (
     markdown_summary,
     snapshot_from_dict,
 )
+from prtrust import report
 from prtrust.aggregate import StratumSummary
 from prtrust.corpus import format_timestamp
 from prtrust.report import CSV_COLUMNS, bundle_from_dict
@@ -288,6 +289,15 @@ def _with_evidence(bundle, evidence_of):
 def test_a_report_built_in_code_is_written_as_json_dumps(rich_bundle, evidence_of):
     bundle = _with_evidence(rich_bundle, evidence_of)
     assert json_text(bundle) == _dumps(_report_dict(bundle))
+
+
+def test_a_report_with_more_key_shapes_than_templates_kept_keeps_at_most_that_many(rich_bundle):
+    many = dataclasses.replace(rich_bundle, profiles=rich_bundle.profiles * 3)
+    bundle = _with_evidence(many, lambda n, d: {f"key {n} %s": n})
+    assert len(bundle.profiles) > report._SHAPES_KEPT
+    assert json_text(bundle) == _dumps(_report_dict(bundle))
+    cached = report._profile_template.cache_info()
+    assert cached.maxsize == report._SHAPES_KEPT and cached.currsize <= report._SHAPES_KEPT
 
 
 def test_an_evidence_key_that_is_not_a_string_raises_the_encoders_error(rich_bundle):
