@@ -170,10 +170,16 @@ class GitHubClient:
         return envelope
 
     def _write_cached(self, url: str, envelope: dict) -> None:
+        """Cache an answer that has an ETag; a write that cannot land, such as over a
+        directory in the entry's place, is a FetchError that names the entry."""
         path = self._cache_path(url)
         if path is None or envelope["etag"] is None:
             return
-        write_whole(path, [json.dumps(envelope, ensure_ascii=False)], mode=0o600)
+        text = json.dumps(envelope, ensure_ascii=False)
+        try:
+            write_whole(path, [text], mode=0o600)
+        except OSError as exc:
+            raise FetchError(f"cannot write cache entry {path}: {exc}") from exc
 
     # -- bookkeeping --------------------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import stat
 import sys
 import tempfile
@@ -147,6 +148,7 @@ def _sub_routes(number, *, reviews=(), review_comments=(), issue_comments=(),
 
 
 LIST_CLOSED = f"{REPO}/pulls?state=closed&sort=created&direction=desc&per_page=100"
+REVIEWS_3 = f"{REPO}/pulls/3/reviews?per_page=100"
 LIST_CLOSED_2 = f"{LIST_CLOSED}&page=2"
 LIST_ALL = f"{REPO}/pulls?state=all&sort=created&direction=desc&per_page=100"
 
@@ -448,7 +450,8 @@ def test_unusable_cache_entry_is_fetched_again(tmp_path, frozen_clock, corrupt):
 
 def test_a_directory_in_an_entrys_place_is_a_miss(tmp_path, frozen_clock):
     """The directory is asked for again; an answer without an ETag is not cached, so
-    the fetch completes, and one with an ETag cannot replace the directory."""
+    the fetch completes, and one with an ETag cannot replace the directory: a FetchError
+    that names the entry."""
     cache = tmp_path / "cache"
     cold = fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
     entry = _entry(cache, LIST_CLOSED)
@@ -464,10 +467,33 @@ def test_a_directory_in_an_entrys_place_is_a_miss(tmp_path, frozen_clock):
     assert entry.is_dir()
 
     session = FakeSession(demo_routes())
-    with pytest.raises(OSError):
+    with pytest.raises(FetchError) as err:
         fetch_snapshot(_plan(cache_dir=cache), session=session)
+    assert type(err.value) is FetchError and isinstance(err.value.__cause__, IsADirectoryError)
+    assert str(err.value) == f"cannot write cache entry {entry}: {err.value.__cause__}"
     assert [status for _, status in _list_calls(session)] == [200]
     assert entry.is_dir() and list(cache.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("url, error", [
+    pytest.param(LIST_CLOSED, FetchError, id="listing"),
+    pytest.param(REVIEWS_3, PartialFetchError, id="sub-resource"),
+])
+def test_a_cache_entry_that_cannot_be_written_exits_2_naming_it(monkeypatch, tmp_path, frozen_clock, capsys,
+                                                                url, error):
+    cache = tmp_path / "cache"
+    fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+    entry = _entry(cache, url)
+    _a_directory(entry)
+    with pytest.raises(error, match=re.escape(f"cannot write cache entry {entry}: ")):
+        fetch_snapshot(_plan(cache_dir=cache), session=FakeSession(demo_routes()))
+
+    monkeypatch.setattr("prtrust.cli.fetch_snapshot",
+                        lambda plan: fetch_snapshot(plan, session=FakeSession(demo_routes())))
+    assert cli.run(["fetch", "--repo", "octo/demo", "--max-pulls", "3", "--cache", str(cache),
+                    "--out", str(tmp_path / "snap.json")]) == 2
+    assert f"cannot write cache entry {entry}: " in capsys.readouterr().err
+    assert entry.is_dir() and not (tmp_path / "snap.json").exists()
 
 
 def test_an_entry_over_64_kib_is_served_whole_on_a_304(tmp_path, frozen_clock):
@@ -527,9 +553,6 @@ class _CappedSession(FakeSession):
         if len(self.calls) >= self.limit:
             raise RuntimeError(f"more than {self.limit} requests")
         return super().get(url, headers, timeout)
-
-
-REVIEWS_3 = f"{REPO}/pulls/3/reviews?per_page=100"
 
 
 def test_a_cached_page_that_links_to_itself_aborts_the_fetch(tmp_path, frozen_clock):
