@@ -8,6 +8,7 @@ recomputation in tests/oracle.py.
 from __future__ import annotations
 
 import copy
+import gc
 import os
 from datetime import datetime, timedelta, timezone
 
@@ -322,3 +323,15 @@ def rich_snapshot():
     from prtrust import snapshot_from_dict
 
     return snapshot_from_dict(rich_snapshot_dict())
+
+
+@pytest.fixture
+def collector():
+    """Set the cyclic collector on or off for a test; it is put back as it was after."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled: bool) -> None:
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)

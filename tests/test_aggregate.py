@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
-from conftest import comment, commit, iso, pull, request, review, sampling_dict, snapshot, user
+from conftest import VOUCH_PR, comment, commit, iso, pull, request, review, sampling_dict, snapshot, user
+from prtrust import aggregate
 from prtrust import (
     AnalysisConfig,
     ConfigError,
     DimensionScore,
     InsufficientStratumError,
     SamplePlan,
+    SnapshotError,
     analyze_snapshot,
     build_profile,
     combine_scores,
@@ -149,6 +152,39 @@ def test_profiles_carry_unavailability_through(rich_snapshot):
     assert not by_number[2].scores["institutional"].available
     assert by_number[2].coverage < 6
     assert by_number[2].overall is not None
+
+
+def _failing_profile(pr, *args):
+    if pr.number == VOUCH_PR:
+        raise RuntimeError(f"PR {pr.number}")
+    return build_profile(pr, *args)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case, error", [
+    ("valid", None),
+    ("bad-config", ConfigError),
+    ("no-pulls", SnapshotError),
+    ("profile-raises", RuntimeError),
+])
+def test_analysis_leaves_the_collector_as_it_found_it(rich_snapshot, collector, monkeypatch, enabled, case,
+                                                      error):
+    snap, config = rich_snapshot, AnalysisConfig()
+    if case == "bad-config":
+        config = AnalysisConfig(competence_window=0)
+    elif case == "no-pulls":
+        snap = dataclasses.replace(snap, pulls=())
+    elif case == "profile-raises":
+        monkeypatch.setattr(aggregate, "build_profile", _failing_profile)
+    collector(enabled)
+    frozen = gc.get_freeze_count()
+    if error is None:
+        analyze_snapshot(snap, config)
+    else:
+        with pytest.raises(error):
+            analyze_snapshot(snap, config)
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
 
 
 # ---------------------------------------------------------------------------

@@ -175,18 +175,6 @@ def test_load_errors_name_the_file(error, tmp_path):
     assert type(err.value.__cause__) is error and str(err.value.__cause__) == str(direct.value)
 
 
-@pytest.fixture
-def collector():
-    """Set the cyclic collector on or off for a test; it is put back as it was after."""
-    was_enabled = gc.isenabled()
-
-    def set_enabled(enabled: bool) -> None:
-        (gc.enable if enabled else gc.disable)()
-
-    yield set_enabled
-    set_enabled(was_enabled)
-
-
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 @pytest.mark.parametrize("content, error", [
     ("valid", None),
