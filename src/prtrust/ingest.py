@@ -175,9 +175,8 @@ class GitHubClient:
         path = self._cache_path(url)
         if path is None or envelope["etag"] is None:
             return
-        text = json.dumps(envelope, ensure_ascii=False)
         try:
-            write_whole(path, [text], mode=0o600)
+            write_whole(path, [json.dumps(envelope, ensure_ascii=False)], mode=0o600)
         except OSError as exc:
             raise FetchError(f"cannot write cache entry {path}: {exc}") from exc
 
