@@ -89,14 +89,15 @@ def format_score(value: float | None) -> str:
 # ---------------------------------------------------------------------------
 
 # One profile as it stands in the report's "profiles" list: its fixed keys, with a %s
-# for pr_number, outcome, overall and coverage, then per dimension for available and
-# score, and its evidence in the place of the second %s of _DIMENSION.
-_HEAD = ('{\n      "pr_number": %s,\n      "outcome": %s,\n      "overall": %s,\n      "coverage": %s,'
-         '\n      "dimensions": {')
-_DIMENSION = ('\n        %s: {\n          "available": %%s,\n          "score": %%s,'
-              '\n          "evidence": %s\n        }')
-_TAIL = "\n      }\n    }"
-_PROFILE = _HEAD + ",".join(_DIMENSION % (json.dumps(d), "%s") for d in DIMENSIONS) + _TAIL
+# for pr_number, outcome, overall and coverage, then per dimension for available,
+# score and evidence.
+_PROFILE = (
+    '{\n      "pr_number": %s,\n      "outcome": %s,\n      "overall": %s,\n      "coverage": %s,'
+    '\n      "dimensions": {'
+    + ",".join(f'\n        {json.dumps(d)}: {{\n          "available": %s,\n          "score": %s,'
+               '\n          "evidence": %s\n        }' for d in DIMENSIONS)
+    + "\n      }\n    }"
+)
 _SCORES_OF = itemgetter(*DIMENSIONS)
 # Evidence key shapes whose profile template is kept; a report has one or a few.
 _SHAPES_KEPT = 32
@@ -104,20 +105,18 @@ _SHAPES_KEPT = 32
 
 @lru_cache(maxsize=_SHAPES_KEPT)
 def _profile_template(shape: tuple[tuple[str, ...], ...]) -> tuple[str, itemgetter]:
-    """The whole-profile template of evidence dicts with the keys ``shape``, one tuple per
-    dimension: _PROFILE with each evidence's keys written out and a %s per value. Also the
-    getter that picks its values, in the template's order, from the head, then the
-    available/score pairs, then all evidence values, as _profile_text encodes them."""
-    bodies, order = [], [0, 1, 2, 3]
+    """_PROFILE with evidence dicts of the key tuples ``shape``, one per dimension, written
+    out: each key, its % escaped, with a %s for its value. Also the getter that takes the
+    values in the template's order from the texts of the head, then of the available/score
+    pairs, then of all evidence values."""
+    slots, order = ["%s"] * 4, [0, 1, 2, 3]
     value = 4 + 2 * len(DIMENSIONS)
     for i, keys in enumerate(shape):
-        bodies.append("{\n            " + ",\n            ".join(
-            [_encode_str(key).replace("%", "%%") + ": %s" for key in keys]) + "\n          }"
-            if keys else "{}")
+        items = ",\n            ".join([_encode_str(key).replace("%", "%%") + ": %s" for key in keys])
+        slots += ["%s", "%s", "{\n            " + items + "\n          }" if keys else "{}"]
         order += [4 + 2 * i, 5 + 2 * i, *range(value, value + len(keys))]
         value += len(keys)
-    template = _HEAD + ",".join(_DIMENSION % (json.dumps(d), body) for d, body in zip(DIMENSIONS, bodies))
-    return template + _TAIL, itemgetter(*order)
+    return _PROFILE % tuple(slots), itemgetter(*order)
 
 
 def _profile_text(profile: TrustProfile) -> str:
