@@ -313,6 +313,42 @@ def replace_at(root, path: tuple, value) -> None:
     root[path[-1]] = copy.deepcopy(value)
 
 
+
+def report_dict(bundle) -> dict:
+    """The JSON report's dict form, as it was built before the report was streamed."""
+    from dataclasses import asdict
+
+    from prtrust import DIMENSIONS
+    from prtrust.corpus import format_timestamp
+
+    return {
+        "version": bundle.version,
+        "repo": {
+            "owner": bundle.repo_owner,
+            "name": bundle.repo_name,
+            "fetched_at": format_timestamp(bundle.fetched_at),
+        },
+        "config": bundle.config,
+        "profiles": [
+            {
+                "pr_number": profile.pr_number,
+                "outcome": profile.outcome,
+                "overall": profile.overall,
+                "coverage": profile.coverage,
+                "dimensions": {
+                    d: {
+                        "available": profile.scores[d].available,
+                        "score": profile.scores[d].score,
+                        "evidence": profile.scores[d].evidence,
+                    }
+                    for d in DIMENSIONS
+                },
+            }
+            for profile in bundle.profiles
+        ],
+        "summary": asdict(bundle.summary),
+    }
+
 @pytest.fixture
 def rich_dict() -> dict:
     return rich_snapshot_dict()

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import comment, commit, iso, pull, request, review, snapshot, user
-from prtrust.corpus import format_timestamp
+from conftest import comment, commit, iso, pull, report_dict, request, review, snapshot, user
 from prtrust import (
-    DIMENSIONS,
     AnalysisConfig,
     VouchLexicon,
     action_score,
@@ -156,40 +153,6 @@ CONFIGS = {
 }
 
 
-def _report_dict(bundle) -> dict:
-    """The JSON report's dict form, as it was built before the report was streamed."""
-    return {
-        "version": bundle.version,
-        "repo": {
-            "owner": bundle.repo_owner,
-            "name": bundle.repo_name,
-            "fetched_at": format_timestamp(bundle.fetched_at),
-        },
-        "config": bundle.config,
-        "profiles": [
-            {
-                "pr_number": profile.pr_number,
-                "outcome": profile.outcome,
-                "overall": profile.overall,
-                "coverage": profile.coverage,
-                "dimensions": {
-                    d: {
-                        "available": profile.scores[d].available,
-                        "score": profile.scores[d].score,
-                        "evidence": profile.scores[d].evidence,
-                    }
-                    for d in DIMENSIONS
-                },
-            }
-            for profile in bundle.profiles
-        ],
-        "summary": {
-            "accepted": asdict(bundle.summary.accepted),
-            "rejected": asdict(bundle.summary.rejected),
-        },
-    }
-
-
 @given(snapshot_dicts(), st.sampled_from(sorted(CONFIGS)))
 @settings(max_examples=60, deadline=None)
 def test_the_json_report_is_json_dumps_of_its_dict_form(data, config_name):
@@ -199,7 +162,7 @@ def test_the_json_report_is_json_dumps_of_its_dict_form(data, config_name):
     lexicon = config.load_lexicon()
     profiles, summary = analyze_snapshot(snap, config, lexicon)
     bundle = build_bundle(snap, profiles, summary, config_echo(config, lexicon))
-    assert json_text(bundle) == json.dumps(_report_dict(bundle), indent=2, ensure_ascii=False) + "\n"
+    assert json_text(bundle) == json.dumps(report_dict(bundle), indent=2, ensure_ascii=False) + "\n"
 
 
 @given(snapshot_dicts())

@@ -16,8 +16,8 @@ from decimal import Decimal
 
 import pytest
 
-from conftest import (MUTANTS, comment, commit, iso, json_paths, pull, replace_at, request, snapshot, umask,
-                      user)
+from conftest import (MUTANTS, comment, commit, iso, json_paths, pull, replace_at, report_dict, request, snapshot,
+                      umask, user)
 from prtrust import (
     AnalysisConfig,
     SnapshotParseError,
@@ -34,7 +34,6 @@ from prtrust import (
 )
 from prtrust import report
 from prtrust.aggregate import StratumSummary
-from prtrust.corpus import format_timestamp
 from prtrust.report import CSV_COLUMNS, bundle_from_dict
 
 
@@ -251,23 +250,6 @@ def test_a_loaded_report_that_analyze_never_writes_is_written_as_json_dumps(rich
     assert json_text(bundle_from_dict(data)) == _dumps(data)
 
 
-def _report_dict(bundle) -> dict:
-    """The JSON report's dict form, built key by key."""
-    return {
-        "version": bundle.version,
-        "repo": {"owner": bundle.repo_owner, "name": bundle.repo_name,
-                 "fetched_at": format_timestamp(bundle.fetched_at)},
-        "config": bundle.config,
-        "profiles": [
-            {"pr_number": p.pr_number, "outcome": p.outcome, "overall": p.overall, "coverage": p.coverage,
-             "dimensions": {d: {"available": p.scores[d].available, "score": p.scores[d].score,
-                                "evidence": p.scores[d].evidence} for d in p.scores}}
-            for p in bundle.profiles
-        ],
-        "summary": dataclasses.asdict(bundle.summary),
-    }
-
-
 def _with_evidence(bundle, evidence_of):
     """``bundle`` with each profile's evidence replaced by ``evidence_of(n, dimension)``."""
     profiles = tuple(
@@ -288,16 +270,16 @@ def _with_evidence(bundle, evidence_of):
 ])
 def test_a_report_built_in_code_is_written_as_json_dumps(rich_bundle, evidence_of):
     bundle = _with_evidence(rich_bundle, evidence_of)
-    assert json_text(bundle) == _dumps(_report_dict(bundle))
+    assert json_text(bundle) == _dumps(report_dict(bundle))
 
 
 def test_a_report_with_more_key_shapes_than_templates_kept_keeps_at_most_that_many(rich_bundle):
     many = dataclasses.replace(rich_bundle, profiles=rich_bundle.profiles * 3)
     bundle = _with_evidence(many, lambda n, d: {f"key {n} %s": n})
     assert len(bundle.profiles) > report._SHAPES_KEPT
-    assert json_text(bundle) == _dumps(_report_dict(bundle))
+    assert json_text(bundle) == _dumps(report_dict(bundle))
     cached = report._profile_template.cache_info()
-    assert cached.maxsize == report._SHAPES_KEPT and cached.currsize <= report._SHAPES_KEPT
+    assert cached.maxsize == cached.currsize == report._SHAPES_KEPT
 
 
 def test_an_evidence_key_that_is_not_a_string_raises_the_encoders_error(rich_bundle):
