@@ -178,6 +178,21 @@ class StratumSummary:
     prs_with_transferred_flag: int
 
 
+# Per StratumSummary field after pr_count, what the summary folds into it: the dimension,
+# the evidence key (None: the score), the only JSON types prtrust writes there (a float is
+# finite), and the bool test a PR is counted by (None: the field is the values' mean).
+FOLDED = {
+    "mean_comment_frequency": ("action", "frequency", (float,), None),
+    "prs_with_post_feedback_commits": ("action", "revision_commits", (int,), lambda n: n > 0),
+    "prs_with_review_response": ("commitment", "any_response", (bool,), bool),
+    "first_timer_prs": ("competence", "prior_pr_count", (int,), lambda n: n == 0),
+    "prs_with_shared_org_counterparty": ("institutional", "shared", (int,), lambda n: n >= 1),
+    "prs_with_full_acceptance_closer": ("personality", "closer_propensity", (float, type(None)),
+                                        lambda p: p == 1.0),
+    "prs_with_transferred_flag": ("transferred", None, (float,), lambda score: score == 1.0),
+}
+
+
 @dataclass(frozen=True)
 class RepoSummary:
     """Per-outcome summary statistics for one analyzed repository.
@@ -211,18 +226,12 @@ def summarize(profiles: Iterable[TrustProfile]) -> RepoSummary:
 
 
 def _summarize_stratum(profiles: list[TrustProfile]) -> StratumSummary:
-    scores = [profile.scores for profile in profiles]
-    frequencies = [s["action"].evidence["frequency"] for s in scores]
-    return StratumSummary(
-        pr_count=len(profiles),
-        # fsum is exactly rounded, keeping the mean permutation-invariant
-        mean_comment_frequency=(math.fsum(frequencies) / len(frequencies)) if frequencies else None,
-        prs_with_post_feedback_commits=sum(1 for s in scores if s["action"].evidence["revision_commits"] > 0),
-        prs_with_review_response=sum(1 for s in scores if s["commitment"].evidence["any_response"]),
-        first_timer_prs=sum(1 for s in scores if s["competence"].evidence["prior_pr_count"] == 0),
-        prs_with_shared_org_counterparty=sum(1 for s in scores if s["institutional"].evidence["shared"] >= 1),
-        prs_with_full_acceptance_closer=sum(
-            1 for s in scores if s["personality"].evidence["closer_propensity"] == 1.0
-        ),
-        prs_with_transferred_flag=sum(1 for s in scores if s["transferred"].score == 1.0),
-    )
+    folded = {}
+    for name, (dimension, key, _, counts) in FOLDED.items():
+        values = [p.scores[dimension].score if key is None else p.scores[dimension].evidence[key]
+                  for p in profiles]
+        if counts is not None:
+            folded[name] = sum(map(counts, values))
+        else:  # fsum is exactly rounded, keeping the mean permutation-invariant
+            folded[name] = math.fsum(values) / len(values) if values else None
+    return StratumSummary(len(profiles), **folded)

@@ -1,12 +1,8 @@
 """Analysis configuration and the key=value config-file format.
 
 Config files are UTF-8 text, one ``key = value`` pair per line; blank
-lines and lines starting with ``#`` are ignored. Recognized keys:
-
-    f_cap, competence_window, accept_ratio, per_repo_n, seed,
-    weights.action, weights.commitment, weights.competence,
-    weights.institutional, weights.personality, weights.transferred,
-    exclude_bots, lexicon_path
+lines and lines starting with ``#`` are ignored. The keys are the fields
+of ``AnalysisConfig``.
 
 Command-line flags always override config-file values.
 """

@@ -396,9 +396,11 @@ def _is_strings(values: Any, container: type) -> bool:
 
 
 def _is_time(value: Any) -> bool:
-    if isinstance(value, datetime) and value.tzinfo is not timezone.utc and value.utcoffset() is None:
-        format_timestamp(value)  # which names the naive value
-    return isinstance(value, datetime)
+    if isinstance(value, datetime) and value.tzinfo is not timezone.utc:
+        if value.utcoffset() is None:
+            format_timestamp(value)  # which names the naive value
+        value = value.astimezone(timezone.utc)
+    return isinstance(value, datetime) and not value.microsecond  # format_timestamp drops a fraction
 
 
 _ONLY_STR = frozenset((str,))
@@ -431,7 +433,7 @@ _CLOSURE = dict.fromkeys(("closed_count", "accepted_count"), (None, _INT))  # th
 _FIELD_KINDS = {
     "int": _INT,
     "str": _STR,
-    "str | None": _STR._replace(read=_optional_str, json=(str, type(None)), absent=None),
+    "str | None": _or_none(_STR),
     "datetime": _TIME,
     "datetime | None": _or_none(_TIME),
     "bool": _Kind(_bool_field, None, lambda value: isinstance(value, bool), absent=False),
@@ -756,14 +758,19 @@ def _encode(record: Any, table: dict) -> dict:
             for key, kind, value in values if value is not kind.absent}
 
 
-# An event as indented_json writes it in a saved PR's event list: per class, its keys at
-# their indentation with a %s per value, its getter, its timestamp's position and its width.
+def record_template(keys: Iterable[str], newline: str) -> str:
+    """An object of ``keys`` as indented_json writes it at ``newline``, with each key's % escaped
+    and a %s for its value; a key that is not a str raises the encoder's TypeError."""
+    inner = newline + "  "
+    items = [_encode_str(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+
+
+# An event as indented_json writes it in a saved PR's event list: per class, its template,
+# its getter, its timestamp's position and its width.
 _EVENT_SEPARATOR = ",\n        "
-_EVENT_TEMPLATES = {
-    cls: ("{\n          " + ",\n          ".join(_encode_str(key) + ": %s" for key in table)
-          + "\n        }", get, stamp, len(table))
-    for cls, (table, stamp, get, _, _) in _EVENT_CODECS.items()
-}
+_EVENT_TEMPLATES = {cls: (record_template(table, "\n        "), get, stamp, len(table))
+                    for cls, (table, stamp, get, _, _) in _EVENT_CODECS.items()}
 _PR_HEAD = {key: row for key, row in _PR.items() if row[0].type not in _EVENT_LISTS}  # before the events
 
 
@@ -812,6 +819,9 @@ def _check(record: Any, cls: type, table: dict, where: str) -> None:
                 event_cls = _EVENT_LISTS[f.type]
                 for i, event in enumerate(value):
                     _check(event, event_cls, _EVENT_CODECS[event_cls][0], f"{where}.{key}[{i}]")
+            if kind.valid is _is_time and isinstance(value, datetime):
+                raise SnapshotValidationError(f"{where}: field '{key}' must be a whole second in UTC, "
+                                              f"got {value.isoformat()}")
             raise SnapshotValidationError(f"{where}: field '{key}' must be {f.type}, got {_typename(value)}")
 
 
@@ -844,7 +854,7 @@ def indented_items(values: Iterable[Any], newline: str) -> list[str]:
         elif kind is bool:
             append("true" if value else "false")
         elif kind is dict:
-            items = indented_items(value.values(), inner)
+            items = indented_items(value.values(), inner) if value else ()
             append("{" + inner + ("," + inner).join(
                 [_encode_str(key) + ": " + text for key, text in zip(value, items)]
             ) + newline + "}" if value else "{}")

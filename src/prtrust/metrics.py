@@ -95,8 +95,8 @@ def action_score(
     frequency = comment_count / active_days where active_days spans
     creation to close (or to the fetch instant for open PRs), rounded up
     to whole days with a one-day floor. revision_commits counts commits
-    strictly after the earliest non-author comment or review (ties broken
-    by event id).
+    strictly after the earliest non-author comment or review (a review
+    with an empty body counts here).
 
     score = 0.5 * min(frequency / f_cap, 1) + 0.5 * [revision_commits > 0].
     Always available.
@@ -104,10 +104,8 @@ def action_score(
     if not 0 < f_cap < inf:
         raise ConfigError(f"f_cap must be positive and finite, got {f_cap}")
 
-    comments = [
-        e for e in discussion(pr)
-        if not _ignored(e.author, exclude_bots) and (e.body or not isinstance(e, Review))
-    ]
+    events = [e for e in discussion(pr) if not _ignored(e.author, exclude_bots)]
+    comments = [e for e in events if e.body or not isinstance(e, Review)]
     comment_count = len(comments)
     non_author_count = sum(1 for c in comments if c.author != pr.author)
 
@@ -116,7 +114,7 @@ def action_score(
     active_days = max(1, -(-elapsed // 86400))
     frequency = comment_count / active_days
 
-    feedback_at = _earliest_feedback(pr, exclude_bots)
+    feedback_at = min((e.created_at for e in events if e.author != pr.author), default=None)
     revision_commits = 0
     if feedback_at is not None:
         revision_commits = sum(1 for c in pr.commits if c.committed_at > feedback_at)
@@ -132,16 +130,6 @@ def action_score(
             "revision_commits": revision_commits,
         },
     )
-
-
-def _earliest_feedback(pr: PullRequest, exclude_bots: bool) -> datetime | None:
-    """Timestamp of the first non-author comment or review, or None."""
-    candidates = [
-        (e.created_at, e.id)
-        for e in discussion(pr)
-        if e.author != pr.author and not _ignored(e.author, exclude_bots)
-    ]
-    return min(candidates)[0] if candidates else None
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +155,8 @@ def commitment_score(pr: PullRequest) -> DimensionScore:
             requested_at[request.requestee] = request.requested_at
 
     responded = {
-        login
-        for login, since in requested_at.items()
-        if any(e.author == login and e.created_at >= since for e in discussion(pr))
+        e.author for e in discussion(pr)
+        if e.author in requested_at and e.created_at >= requested_at[e.author]
     }
     change_requests = [r for r in pr.reviews if r.verdict == "changes_requested"]
     author_addressed = all(
@@ -429,13 +416,11 @@ class VouchLexicon:
         ``*``) of some pattern, so each distinct head is searched once in
         the lowered texts joined by NUL, and only the texts it occurs in go
         through ``find``. An occurrence that runs across a separator only
-        adds a candidate. An empty head makes every text a candidate. The
+        adds a candidate. An empty head occurs at the start of every text. The
         distinct heads are computed once per lexicon.
         """
         if not texts:
             return []
-        if "" in self._heads:
-            return [self.find(text) for text in texts]
         # lowered one by one: lowering can change a text's length and depends on its context
         lowered = [text.lower() for text in texts]
         starts = list(accumulate((len(text) + 1 for text in lowered), initial=0))
@@ -451,9 +436,6 @@ class VouchLexicon:
 
 
 def _match_pattern(pattern: str, text: str) -> tuple[int, int] | None:
-    if "*" not in pattern:
-        start = text.find(pattern)
-        return (start, start + len(pattern)) if start >= 0 else None
     head, _, tail = pattern.partition("*")
     start = text.find(head)
     if start < 0:

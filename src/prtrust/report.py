@@ -13,14 +13,15 @@ from dataclasses import asdict, dataclass
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
 from . import __version__
-from .aggregate import RepoSummary, TrustProfile, summarize
-from .corpus import (RepoSnapshot, _encode_str, format_timestamp, indented_items, json_chunks,
-                     parse_timestamp, read_json, write_whole)
+from .aggregate import FOLDED, RepoSummary, TrustProfile, summarize
+from .corpus import (RepoSnapshot, format_timestamp, indented_items, json_chunks, parse_timestamp,
+                     read_json, record_template, write_whole)
 from .errors import SnapshotParseError
 from .metrics import DIMENSIONS, DimensionScore, left_sum
 
@@ -91,53 +92,43 @@ def format_score(value: float | None) -> str:
 # One profile as it stands in the report's "profiles" list: its fixed keys, with a %s
 # for pr_number, outcome, overall and coverage, then per dimension for available,
 # score and evidence.
-_PROFILE = (
-    '{\n      "pr_number": %s,\n      "outcome": %s,\n      "overall": %s,\n      "coverage": %s,'
-    '\n      "dimensions": {'
-    + ",".join(f'\n        {json.dumps(d)}: {{\n          "available": %s,\n          "score": %s,'
-               '\n          "evidence": %s\n        }' for d in DIMENSIONS)
-    + "\n      }\n    }"
-)
+_PROFILE = record_template(("pr_number", "outcome", "overall", "coverage", "dimensions"), "\n    ") % (
+    "%s", "%s", "%s", "%s", record_template(DIMENSIONS, "\n      ")
+    % ((record_template(("available", "score", "evidence"), "\n        "),) * len(DIMENSIONS)))
 _SCORES_OF = itemgetter(*DIMENSIONS)
 # Evidence key shapes whose profile template is kept; a report has one or a few.
 _SHAPES_KEPT = 32
 
 
 @lru_cache(maxsize=_SHAPES_KEPT)
-def _profile_template(shape: tuple[tuple[str, ...], ...]) -> tuple[str, itemgetter]:
-    """_PROFILE with evidence dicts of the key tuples ``shape``, one per dimension, written
-    out: each key, its % escaped, with a %s for its value. Also the getter that takes the
-    values in the template's order from the texts of the head, then of the available/score
-    pairs, then of all evidence values."""
+def _profile_template(shape: tuple[tuple[str, ...] | None, ...]) -> tuple[str, itemgetter]:
+    """_PROFILE with each dimension's evidence written out as its entry in ``shape`` gives it:
+    an object of that key tuple, a %s per value, or for None one %s for the whole value. Also
+    the getter that takes the values in the template's order from the texts of the head, then
+    of the available/score pairs, then of the whole evidence values, then of the keyed ones."""
     slots, order = ["%s"] * 4, [0, 1, 2, 3]
-    value = 4 + 2 * len(DIMENSIONS)
-    for i, keys in enumerate(shape):
-        items = ",\n            ".join([_encode_str(key).replace("%", "%%") + ": %s" for key in keys])
-        slots += ["%s", "%s", "{\n            " + items + "\n          }" if keys else "{}"]
-        order += [4 + 2 * i, 5 + 2 * i, *range(value, value + len(keys))]
-        value += len(keys)
+    pairs, wholes = count(4), count(4 + 2 * len(DIMENSIONS))
+    values = count(4 + 2 * len(DIMENSIONS) + shape.count(None))
+    for keys in shape:
+        slots += ["%s", "%s", "%s" if keys is None else record_template(keys, "\n          ")]
+        order += [next(pairs), next(pairs)]
+        order += [next(wholes)] if keys is None else [next(values) for _ in keys]
     return _PROFILE % tuple(slots), itemgetter(*order)
 
 
 def _profile_text(profile: TrustProfile) -> str:
-    """A profile filled into the template of its evidence's key shape, its values encoded
-    one indentation level per call; evidence of another type than dict, or with a key that
-    is not a str, is walked whole by indented_items, as json.dumps would write it."""
+    """A profile filled into the template of its evidence's shape, its values encoded one
+    indentation level per call: evidence of another type than dict is one whole value."""
     scores = _SCORES_OF(profile.scores)
+    shape = tuple(tuple(s.evidence) if type(s.evidence) is dict else None for s in scores)
+    template, order = _profile_template(shape)
     head = indented_items((profile.pr_number, profile.outcome, profile.overall, profile.coverage),
                           "\n      ")
-    evidence = [s.evidence for s in scores]
-    if all(type(e) is dict for e in evidence):
-        try:
-            template, order = _profile_template(tuple(map(tuple, evidence)))
-        except TypeError:  # a key _encode_str refuses: the walk below raises its error
-            pass
-        else:
-            pairs = indented_items([v for s in scores for v in (s.available, s.score)], "\n          ")
-            values = indented_items([v for e in evidence for v in e.values()], "\n            ")
-            return template % order(head + pairs + values)
-    return _PROFILE % (*head, *indented_items(
-        [v for s in scores for v in (s.available, s.score, s.evidence)], "\n          "))
+    level = [v for s in scores for v in (s.available, s.score)]
+    level += [s.evidence for s, keys in zip(scores, shape) if keys is None]
+    values = [v for s, keys in zip(scores, shape) if keys is not None for v in s.evidence.values()]
+    return template % order(head + indented_items(level, "\n          ")
+                            + indented_items(values, "\n            "))
 
 
 def _json_chunks(bundle: ReportBundle) -> Iterator[str]:
@@ -156,21 +147,11 @@ def _json_chunks(bundle: ReportBundle) -> Iterator[str]:
     return json_chunks(document, "profiles", _profile_text)
 
 
-# What the summary fold reads of each dimension, an evidence key or None for the score,
-# and the only JSON types prtrust writes there; a float is finite.
-_FOLDED = (
-    ("action", "frequency", (float,), "a finite number"),
-    ("action", "revision_commits", (int,), "an integer"),
-    ("commitment", "any_response", (bool,), "a boolean"),
-    ("competence", "prior_pr_count", (int,), "an integer"),
-    ("institutional", "shared", (int,), "an integer"),
-    ("personality", "closer_propensity", (float, type(None)), "a finite number or null"),
-    ("transferred", None, (float,), "a finite number"),
-)
 # A profile's scores, named as errors name them, in the order they are written.
 _SCORES = ("overall", *(f"{d}.score" for d in DIMENSIONS))
 _ABSENT = object()
 _KINDS = {dict: "an object", list: "an array"}
+_TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", type(None): "null"}
 
 
 def _profile_from_dict(raw: dict) -> TrustProfile:
@@ -192,11 +173,11 @@ def _profile_from_dict(raw: dict) -> TrustProfile:
         if value is not None and (type(value) is not float or not math.isfinite(value)):
             raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {name} must be a finite "
                                      f"number or null, got {_spell(value)}")
-    for d, key, types, expected in _FOLDED:
+    for d, key, types, _ in FOLDED.values():
         value = scores[d].score if key is None else scores[d].evidence[key]
         if type(value) not in types or type(value) is float and not math.isfinite(value):
-            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {d}.{key or 'score'} "
-                                     f"must be {expected}, got {_spell(value)}")
+            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {d}.{key or 'score'} must "
+                                     f"be {' or '.join(map(_TYPE_NAMES.get, types))}, got {_spell(value)}")
     available = [s.available for s in scores.values()]
     if stated != available or raw["coverage"] != available.count(True):  # the profile's coverage
         raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: 'available' or 'coverage' "

@@ -397,3 +397,19 @@ def test_summary_counts_bounded_by_stratum(rich_snapshot):
         ):
             assert 0 <= getattr(stratum, field) <= stratum.pr_count
 
+
+def test_the_fold_table_names_every_summary_field_after_pr_count_in_field_order():
+    assert list(aggregate.FOLDED) == [f.name for f in dataclasses.fields(aggregate.StratumSummary)][1:]
+
+
+# Per JSON type the summary may fold, values prtrust writes; a count test sees each of them.
+_FOLDED_VALUES = {float: (0.0, 0.5, 1.0, 2.0), int: (0, 1, 3), bool: (False, True), type(None): (None,)}
+
+
+@pytest.mark.parametrize("name", [name for name, row in aggregate.FOLDED.items() if row[3] is not None])
+def test_each_count_test_returns_a_bool(name):
+    """A count test is summed, so it must return a bool: ``(1.0).__eq__`` would return
+    NotImplemented, which is truthy, for a null closer propensity."""
+    _, _, types, counts = aggregate.FOLDED[name]
+    for value in (value for json_type in types for value in _FOLDED_VALUES[json_type]):
+        assert type(counts(value)) is bool, (name, value)

@@ -1553,6 +1553,12 @@ _UNSAVABLE = [
      "PR 1: field 'closed_at' must be datetime | None, got str"),
     ("list-labels", {"labels": ["bug"]}, "PR 1: field 'labels' must be frozenset[str], got list"),
     ("bytes-file", {"files": (b"setup.py",)}, "PR 1: field 'files' must be tuple[str, ...], got tuple"),
+    # a save writes whole seconds: these would load back a fraction of a second earlier
+    ("sub-second-created_at", {"created_at": datetime(2021, 12, 31, 23, 59, 59, 999500, tzinfo=timezone.utc)},
+     "PR 1: field 'created_at' must be a whole second in UTC, got 2021-12-31T23:59:59.999500+00:00"),
+    ("sub-second-offset",
+     {"commits": (CommitEvent("ab12", "alice", _UTC_NOON.replace(tzinfo=timezone(timedelta(microseconds=500)))),)},
+     "PR 1.commits[0]: field 'committed_at' must be a whole second in UTC, got 2022-01-05T12:00:00+00:00:00.000500"),
 ]
 
 

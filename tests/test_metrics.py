@@ -87,6 +87,19 @@ def test_action_empty_body_review_not_counted_as_comment():
     assert action_score(snap.pulls[0], snap).evidence["comment_count"] == 1
 
 
+def test_action_empty_body_review_starts_the_revision_window():
+    """An empty-body review by another user is not a comment, but it is feedback."""
+    pr = pull(
+        1, "dev", created=iso(0), closed=iso(1),
+        reviews=[review(5, "maintainer", iso(0, hours=2), body="")],
+        commits=[commit("aa", "dev", iso(0, hours=1)), commit("bb", "dev", iso(0, hours=3))],
+    )
+    snap = build([pr], BASE_USERS)
+    evidence = action_score(snap.pulls[0], snap).evidence
+    assert evidence["comment_count"] == evidence["non_author_comment_count"] == 0
+    assert evidence["revision_commits"] == 1
+
+
 def test_action_bot_comments_excluded_by_default():
     pr = pull(
         1, "dev", created=iso(0), closed=iso(1),
@@ -156,6 +169,20 @@ def test_commitment_response_must_follow_request():
     )
     snap = build([pr], BASE_USERS + [user("r1")])
     assert commitment_score(snap.pulls[0]).score == 0.0
+
+
+def test_commitment_counts_each_requestee_once_and_only_after_the_request():
+    pr = pull(
+        1, "dev", created=iso(0), closed=iso(2),
+        review_requests=[request("r1", iso(0, hours=5)), request("r2", iso(0, hours=1))],
+        issue_comments=[comment(9, "r1", iso(0, hours=1)),  # before r1 was asked
+                        comment(10, "r2", iso(0, hours=2)), comment(11, "r2", iso(0, hours=3))],
+        reviews=[review(12, "r2", iso(0, hours=4), body="")],
+    )
+    snap = build([pr], BASE_USERS + [user("r1"), user("r2")])
+    score = commitment_score(snap.pulls[0])
+    assert score.evidence == {"requested": 2, "responded": 1, "any_response": True, "author_addressed": True}
+    assert score.score == pytest.approx(0.5)
 
 
 def test_commitment_blends_changes_requested_follow_up():
