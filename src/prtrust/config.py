@@ -83,40 +83,30 @@ _RANGES = (
 )
 
 
-def _parse_bool(value: str, where: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {value!r}")
+# The spellings of a boolean in a config file, compared lowercased.
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
 
-
-def _parse_float(value: str, where: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-
-
-def _parse_int(value: str, where: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
-
-
-# Per field annotation: the config-file parser of a scalar key (weights are read per
-# dimension), the types a config built in code may hold, and their name in errors; a
-# bool, though an int, is accepted only where the annotation is "bool".
+# Per field annotation: the config-file converter of a scalar key (weights are read per
+# dimension as "float"), the types a config built in code may hold, and their name in
+# errors; a bool, though an int, is accepted only where the annotation is "bool".
 _KINDS = {
-    "float": (_parse_float, (int, float), "a number"),
-    "int": (_parse_int, int, "an integer"),
-    "bool": (_parse_bool, bool, "a boolean"),
-    "str | None": (lambda value, where: value, (str, type(None)), "a string or None"),
+    "float": (float, (int, float), "a number"),
+    "int": (int, int, "an integer"),
+    "bool": (lambda value: _BOOLS[value.lower()], bool, "a boolean"),
+    "str | None": (str, (str, type(None)), "a string or None"),
     "dict[str, float]": (None, dict, "a dict"),
 }
-_SCALAR_KEYS = {f.name: _KINDS[f.type][0] for f in fields(AnalysisConfig) if f.name != "weights"}
+_SCALAR_KEYS = {f.name: f.type for f in fields(AnalysisConfig) if f.name != "weights"}
+
+
+def _parse(annotation: str, value: str, where: str) -> object:
+    """A config-file value of the annotation's kind; one its converter cannot read is named."""
+    convert, _, name = _KINDS[annotation]
+    try:
+        return convert(value)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected {name}, got {value!r}") from exc
 
 
 def _check_type(key: str, value: object, annotation: str) -> None:
@@ -146,12 +136,12 @@ def load_config(path: str | Path) -> AnalysisConfig:
         where = f"{path}:{lineno}: {key}"
 
         if key in _SCALAR_KEYS:
-            setattr(config, key, _SCALAR_KEYS[key](value, where))
+            setattr(config, key, _parse(_SCALAR_KEYS[key], value, where))
         elif key.startswith("weights."):
             dimension = key[len("weights."):]
             if dimension not in DIMENSIONS:
                 raise ConfigError(f"{where}: unknown dimension in weight key")
-            config.weights[dimension] = _parse_float(value, where)
+            config.weights[dimension] = _parse("float", value, where)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
 

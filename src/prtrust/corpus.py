@@ -90,13 +90,22 @@ def parse_timestamp(value: Any, where: str) -> datetime:
         raise SnapshotParseError(f"{where}: timestamp {value!r} is out of range") from exc
 
 
+def _in_utc(value: datetime) -> datetime:
+    """An aware datetime at its instant in UTC. A naive one, which only the host's time zone
+    could place, or one whose UTC instant leaves years 1-9999, is a SnapshotValidationError."""
+    if value.utcoffset() is None:
+        raise SnapshotValidationError(f"timestamp {value.isoformat()!r} lacks a UTC offset")
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise SnapshotValidationError(f"timestamp {value.isoformat()!r} is out of range") from exc
+
+
 def format_timestamp(value: datetime) -> str:
-    """Render an aware datetime as "YYYY-MM-DDTHH:MM:SSZ" (four-digit year); a naive one,
-    which only the host's time zone could place, is a SnapshotValidationError."""
+    """Render an aware datetime as "YYYY-MM-DDTHH:MM:SSZ" (four-digit year); a naive one, or
+    one whose UTC instant leaves years 1-9999, is a SnapshotValidationError."""
     if value.tzinfo is not timezone.utc:  # every value parse_timestamp returns skips this
-        if value.utcoffset() is None:
-            raise SnapshotValidationError(f"timestamp {value.isoformat()!r} lacks a UTC offset")
-        value = value.astimezone(timezone.utc)
+        value = _in_utc(value)
     return value.isoformat()[:19] + "Z"
 
 
@@ -377,11 +386,11 @@ def _bool_field(data: dict, key: str, where: str) -> bool:
     return value
 
 
-def _label_set(data: dict, key: str, where: str) -> frozenset[str]:
-    labels = _string_list(data, key, where)
-    if len(set(labels)) != len(labels):
-        raise SnapshotValidationError(f"{where}: duplicate label in '{key}'")
-    return frozenset(labels)
+def _string_set(data: dict, key: str, where: str) -> frozenset[str]:
+    values = _string_list(data, key, where)
+    if len(unique := frozenset(values)) != len(values):
+        raise SnapshotValidationError(f"{where}: duplicate value in '{key}'")
+    return unique
 
 
 def _fast_strings(values: list, into: type = tuple) -> Any:
@@ -397,9 +406,7 @@ def _is_strings(values: Any, container: type) -> bool:
 
 def _is_time(value: Any) -> bool:
     if isinstance(value, datetime) and value.tzinfo is not timezone.utc:
-        if value.utcoffset() is None:
-            format_timestamp(value)  # which names the naive value
-        value = value.astimezone(timezone.utc)
+        value = _in_utc(value)
     return isinstance(value, datetime) and not value.microsecond  # format_timestamp drops a fraction
 
 
@@ -437,7 +444,7 @@ _FIELD_KINDS = {
     "datetime": _TIME,
     "datetime | None": _or_none(_TIME),
     "bool": _Kind(_bool_field, None, lambda value: isinstance(value, bool), absent=False),
-    "frozenset[str]": _Kind(lambda *args: frozenset(_string_list(*args)), sorted,
+    "frozenset[str]": _Kind(_string_set, sorted,
                             lambda value: _is_strings(value, frozenset), (list,),
                             partial(_fast_strings, into=frozenset)),
     "tuple[str, ...]": _Kind(lambda *args: tuple(_string_list(*args)), list,
@@ -449,10 +456,10 @@ _FIELD_KINDS = {
 }
 
 
-def _table(cls: type, **kinds: _Kind) -> dict[str, tuple[Any, _Kind]]:
-    """Field name, which is its JSON key -> (dataclass field, kind), for each field of ``cls``
-    in field order; a field's kind is its annotation's, or the one ``kinds`` gives its name."""
-    return {f.name: (f, kinds.get(f.name) or _FIELD_KINDS[f.type]) for f in fields(cls)}
+def _table(cls: type) -> dict[str, tuple[Any, _Kind]]:
+    """Field name, which is its JSON key -> (dataclass field, its annotation's kind), for each
+    field of ``cls`` in field order."""
+    return {f.name: (f, _FIELD_KINDS[f.type]) for f in fields(cls)}
 
 
 def _decode_record(cls: type, table: dict, data: Any, where: str) -> Any:
@@ -494,7 +501,7 @@ def _event_list(cls: type) -> _Kind:
 _FIELD_KINDS.update({annotation: _event_list(cls) for annotation, cls in _EVENT_LISTS.items()})
 _USER = _table(UserProfile)
 _decode_user = partial(_decode_record, UserProfile, _USER)  # (data, where) -> UserProfile
-_PR = _table(PullRequest, labels=_FIELD_KINDS["frozenset[str]"]._replace(read=_label_set))  # orgs may repeat
+_PR = _table(PullRequest)
 _REPO = {k: (f, _FIELD_KINDS[f.type]) for k, f in zip(("owner", "name", "fetched_at"), fields(RepoSnapshot))}
 
 # What _fast_pull reads a pull request by, from its table: its keys with and without those
@@ -608,7 +615,7 @@ def read_json(path: Path, what: str) -> Any:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise SnapshotParseError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise SnapshotParseError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SnapshotParseError(f"{path}: JSON nested too deeply to read") from exc

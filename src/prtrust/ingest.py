@@ -542,6 +542,13 @@ def _run_bounded(tasks: list, concurrency: int, consume: Callable[[Any], None]) 
         raise failures[0]
 
 
+def _comment_fields(raw: Any, time_key: str, where: str) -> tuple[int, str, datetime, str]:
+    """The id, author, time and body of a review or comment, read and checked in that order."""
+    raw = _require_dict(raw, where)
+    return (_int_field(raw, "id", where), _login(raw.get("user"), _GHOST, where),
+            parse_timestamp(_take(raw, time_key, where), where), _optional_str(raw, "body", where) or "")
+
+
 def _fetch_pull(client: GitHubClient, owner: str, name: str, item: Any) -> PullRequest:
     number = _int_field(_require_dict(item, "PR listing item"), "number", "PR listing item")
     base = f"{API_ROOT}/repos/{owner}/{name}"
@@ -567,33 +574,16 @@ def _fetch_pull(client: GitHubClient, owner: str, name: str, item: Any) -> PullR
     where = f"PR {number} review"
     for raw in reviews_raw:
         verdict = _VERDICTS.get(_optional_str(raw, "state", where) or "")
-        submitted_at = raw.get("submitted_at")
-        if verdict is None or submitted_at is None:
+        if verdict is None or raw.get("submitted_at") is None:
             continue  # pending or exotic review states carry no signal
-        reviews.append(
-            Review(
-                id=_int_field(raw, "id", where),
-                author=_login(raw.get("user"), _GHOST, where),
-                submitted_at=parse_timestamp(submitted_at, where),
-                verdict=verdict,
-                body=_optional_str(raw, "body", where) or "",
-            )
-        )
+        *head, body = _comment_fields(raw, "submitted_at", where)
+        reviews.append(Review(*head, verdict, body))
     reviews.sort(key=lambda r: (r.submitted_at, r.id))
 
     def decode_comments(raw_list: list, what: str) -> list[Comment]:
         where = f"PR {number} {what}"
-        out = [
-            Comment(
-                id=_int_field(raw, "id", where),
-                author=_login(raw.get("user"), _GHOST, where),
-                created_at=parse_timestamp(_take(raw, "created_at", where), where),
-                body=_optional_str(raw, "body", where) or "",
-            )
-            for raw in (_require_dict(item, where) for item in raw_list)
-        ]
-        out.sort(key=lambda c: (c.created_at, c.id))
-        return out
+        return sorted((Comment(*_comment_fields(raw, "created_at", where)) for raw in raw_list),
+                      key=lambda c: (c.created_at, c.id))
 
     commits = []
     where = f"PR {number} commit"

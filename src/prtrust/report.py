@@ -147,8 +147,12 @@ def _json_chunks(bundle: ReportBundle) -> Iterator[str]:
     return json_chunks(document, "profiles", _profile_text)
 
 
-# A profile's scores, named as errors name them, in the order they are written.
-_SCORES = ("overall", *(f"{d}.score" for d in DIMENSIONS))
+# The numbers _profile_from_dict checks, in order: per value, its name in errors, its
+# dimension (None: overall), its evidence key (None: the score) and its JSON types. The
+# scores come first, so that a fold input, whose key may be missing, is read after them.
+_SCORE_TYPES = (float, type(None))
+_NUMBERS = [("overall", None, None, _SCORE_TYPES)] + [(f"{d}.score", d, None, _SCORE_TYPES) for d in DIMENSIONS]
+_NUMBERS += [(f"{d}.{key or 'score'}", d, key, types) for d, key, types, _ in FOLDED.values()]
 _ABSENT = object()
 _KINDS = {dict: "an object", list: "an array"}
 _TYPE_NAMES = {float: "a finite number", int: "an integer", bool: "a boolean", type(None): "null"}
@@ -169,14 +173,10 @@ def _profile_from_dict(raw: dict) -> TrustProfile:
     for d in DIMENSIONS:  # keys read in the order they are written
         stated.append(dims[d]["available"])
         scores[d] = DimensionScore(dims[d]["score"], dims[d]["evidence"])
-    for name, value in zip(_SCORES, (raw["overall"], *[s.score for s in scores.values()])):
-        if value is not None and (type(value) is not float or not math.isfinite(value)):
-            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {name} must be a finite "
-                                     f"number or null, got {_spell(value)}")
-    for d, key, types, _ in FOLDED.values():
-        value = scores[d].score if key is None else scores[d].evidence[key]
+    for name, d, key, types in _NUMBERS:
+        value = raw["overall"] if d is None else scores[d].score if key is None else scores[d].evidence[key]
         if type(value) not in types or type(value) is float and not math.isfinite(value):
-            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {d}.{key or 'score'} must "
+            raise SnapshotParseError(f"malformed report bundle: PR {pr_number}: {name} must "
                                      f"be {' or '.join(map(_TYPE_NAMES.get, types))}, got {_spell(value)}")
     available = [s.available for s in scores.values()]
     if stated != available or raw["coverage"] != available.count(True):  # the profile's coverage

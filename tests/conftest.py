@@ -284,6 +284,9 @@ def sampling_dict(accepted: int = 28, rejected: int = 12) -> dict:
 
 # Values that replace one JSON field in the mutation fuzzers.
 MUTANTS = (None, "x", 7, [], {}, "\ud83d")  # the last, a lone surrogate, loads but is not UTF-8
+# A JSON integer past Python's default limit on integer string conversion (4,300 digits),
+# which json.loads rejects with a plain ValueError.
+HUGE_INTEGER = "1" * 5000
 
 
 def umask() -> int:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rich_snapshot_dict
+from conftest import HUGE_INTEGER, rich_snapshot_dict
 from prtrust import DIMENSIONS, RateLimitError, fetch_snapshot, load_snapshot
 from prtrust.cli import run
 from test_ingest import LIST_ALL, LIST_CLOSED, FakeSession, demo_routes
@@ -300,6 +300,7 @@ def test_analyze_empty_snapshot_exits_1_with_a_clear_message(tmp_path, capsys):
 
 _NOT_UTF8 = b'{"repo": "\xff\xfe"}'
 _TOO_DEEP = b"[" * 200000
+_HUGE_INTEGER = b'{"pulls": [{"number": ' + HUGE_INTEGER.encode() + b"}]}"
 
 
 def _cli(tmp_path, *args):
@@ -309,7 +310,8 @@ def _cli(tmp_path, *args):
                           capture_output=True, text=True, timeout=60)
 
 
-@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP], ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("content", [_NOT_UTF8, _TOO_DEEP, _HUGE_INTEGER],
+                         ids=["not-utf8", "too-deep", "huge-integer"])
 @pytest.mark.parametrize("command", ["analyze", "sample", "summary"])
 def test_unreadable_input_exits_1_naming_the_file(command, content, tmp_path):
     bad = tmp_path / "bad.json"

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FETCHED,
+    HUGE_INTEGER,
     MUTANTS,
     comment,
     commit,
@@ -155,6 +156,20 @@ def test_not_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SnapshotParseError):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("content, prefix", [
+    (b'{"repo": "\xff"}', "cannot read snapshot file {path}: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"pulls": [{"number": ' + HUGE_INTEGER.encode() + b"}]}", "{path}: not valid JSON: "),
+], ids=["not-utf8", "huge-integer"])
+def test_a_file_json_cannot_read_is_a_parse_error_naming_it(tmp_path, content, prefix):
+    """A byte that is not UTF-8 is a UnicodeDecodeError, and so a ValueError, as is an integer
+    json.loads will not convert: each is named as what it is, with the file."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(SnapshotParseError) as err:
+        load_snapshot(path)
+    assert str(err.value).startswith(prefix.format(path=path))
 
 
 @pytest.mark.parametrize("error", [SnapshotParseError, SnapshotValidationError])
@@ -592,7 +607,9 @@ _VALIDATION_ERRORS = [
     ("duplicate-user", lambda d: d["users"].append(dict(d["users"][0])),
      "users[2]: duplicate login 'dev'"),
     ("duplicate-label", _update_pull(labels=["bug", "bug"]),
-     "PR 4: duplicate label in 'labels'"),
+     "PR 4: duplicate value in 'labels'"),
+    ("duplicate-org", lambda d: d["users"][0].update(orgs=["asf", "asf"]),
+     "users[0]: duplicate value in 'orgs'"),
 ]
 
 # (name, two or more violations at once, the whole message of the one reported first)
@@ -1559,6 +1576,12 @@ _UNSAVABLE = [
     ("sub-second-offset",
      {"commits": (CommitEvent("ab12", "alice", _UTC_NOON.replace(tzinfo=timezone(timedelta(microseconds=500)))),)},
      "PR 1.commits[0]: field 'committed_at' must be a whole second in UTC, got 2022-01-05T12:00:00+00:00:00.000500"),
+    # a UTC instant outside years 1-9999, which a save cannot write
+    ("before-year-1-in-utc", {"created_at": datetime.fromisoformat("0001-01-01T00:30:00+01:00")},
+     "timestamp '0001-01-01T00:30:00+01:00' is out of range"),
+    ("after-year-9999-in-utc",
+     {"commits": (CommitEvent("ab12", "alice", datetime.fromisoformat("9999-12-31T23:59:59-01:00")),)},
+     "timestamp '9999-12-31T23:59:59-01:00' is out of range"),
 ]
 
 

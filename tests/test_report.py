@@ -12,15 +12,17 @@ import math
 import os
 import stat
 import sys
+from datetime import datetime
 from decimal import Decimal
 
 import pytest
 
-from conftest import (MUTANTS, comment, commit, iso, json_paths, pull, replace_at, report_dict, request, snapshot,
-                      umask, user)
+from conftest import (HUGE_INTEGER, MUTANTS, comment, commit, iso, json_paths, pull, replace_at, report_dict, request,
+                      snapshot, umask, user)
 from prtrust import (
     AnalysisConfig,
     SnapshotParseError,
+    SnapshotValidationError,
     analyze_snapshot,
     build_bundle,
     config_echo,
@@ -570,6 +572,39 @@ def test_load_bundle_rejects_a_score_that_is_not_a_finite_float_or_null(
     with pytest.raises(SnapshotParseError) as err:
         load_bundle(path)
     assert str(err.value) == f"malformed report bundle: PR 3: {error}"
+
+
+def test_load_bundle_names_a_bad_score_before_a_missing_fold_input(rich_bundle, tmp_path):
+    """The fold inputs are read only once every score has passed, so a missing evidence key,
+    a KeyError, does not hide the score's message."""
+    def edit(data):
+        data["profiles"][2]["overall"] = "x"
+        del data["profiles"][2]["dimensions"]["action"]["evidence"]["frequency"]
+
+    path, _ = _edited_report(rich_bundle, tmp_path, edit)
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(path)
+    assert str(err.value) == 'malformed report bundle: PR 3: overall must be a finite number or null, got "x"'
+
+
+def test_load_bundle_names_the_file_of_an_integer_json_will_not_convert(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"profiles": [{"pr_number": ' + HUGE_INTEGER + "}]}", encoding="utf-8")
+    with pytest.raises(SnapshotParseError) as err:
+        load_bundle(path)
+    assert str(err.value).startswith(f"{path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("format", ["json", "markdown"])
+@pytest.mark.parametrize("fetched_at", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:59:59-01:00"])
+def test_a_report_whose_fetch_time_leaves_years_1_to_9999_in_utc_is_not_written(
+    rich_bundle, tmp_path, format, fetched_at
+):
+    bundle = dataclasses.replace(rich_bundle, fetched_at=datetime.fromisoformat(fetched_at))
+    with pytest.raises(SnapshotValidationError) as err:
+        emit(bundle, format, tmp_path / "report")
+    assert str(err.value) == f"timestamp '{fetched_at}' is out of range"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_score_that_load_bundle_accepts_renders_as_csv(rich_bundle):
