@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
-from itertools import product
+from itertools import chain, islice, product
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
@@ -57,12 +57,25 @@ _CANONICAL = re.compile(_DATE_TIME + "Z", re.ASCII).fullmatch
 # Timestamps
 # ---------------------------------------------------------------------------
 
+def _utc_offset(canonical: str) -> str:
+    """A canonical timestamp with its "Z" spelled "+00:00", which fromisoformat reads on every Python."""
+    return canonical[:-1] + "+00:00"
+
+
 def _canonical_instant(text: str) -> datetime:
     """The instant of a timestamp in the canonical spelling "YYYY-MM-DDTHH:MM:SSZ" that save_snapshot
     writes, as parse_timestamp's general path reads it; any other text is a ValueError."""
     if not _CANONICAL(text):
         raise ValueError(text)
-    return datetime.fromisoformat(text[:-1] + "+00:00")
+    return datetime.fromisoformat(_utc_offset(text))
+
+
+def _canonical_instants(texts: list[str]) -> list[datetime]:
+    """``[_canonical_instant(text) for text in texts]``, each step mapped over the list in one
+    call; a ValueError when any text is not canonical or names a date that does not exist."""
+    if not all(map(_CANONICAL, texts)):
+        raise ValueError(texts)
+    return list(map(datetime.fromisoformat, map(_utc_offset, texts)))
 
 
 def parse_timestamp(value: Any, where: str) -> datetime:
@@ -405,9 +418,14 @@ def _is_strings(values: Any, container: type) -> bool:
 
 
 def _is_time(value: Any) -> bool:
-    if isinstance(value, datetime) and value.tzinfo is not timezone.utc:
-        value = _in_utc(value)
-    return isinstance(value, datetime) and not value.microsecond  # format_timestamp drops a fraction
+    """Whether ``value`` is an aware datetime at a whole second of years 1-9999 in UTC, which
+    format_timestamp writes as the instant a load reads back (it drops a fraction)."""
+    if isinstance(value, datetime) and value.tzinfo is timezone.utc:  # every loaded value
+        return not value.microsecond
+    try:
+        return isinstance(value, datetime) and not _in_utc(value).microsecond
+    except SnapshotValidationError:  # naive, or outside years 1-9999 in UTC; _check names which
+        return False
 
 
 _ONLY_STR = frozenset((str,))
@@ -420,7 +438,7 @@ class _Kind(NamedTuple):
     read: Callable[[dict, str, str], Any]  # the checked reader of data[key], which names any fault
     encode: Callable[[Any], Any] | None  # a value's JSON value; None writes the value itself
     valid: Callable[[Any], bool]  # whether save_snapshot writes a value that loads back equal
-    json: tuple[type, ...] = ()  # the exact JSON types of a value that _fast_pull takes,
+    json: tuple[type, ...] = ()  # the exact JSON types of a value that _fast_pulls takes,
     fast: Callable[[Any], Any] | None = None  # and its value of a non-null one (None: itself), or ValueError
     absent: Any = _REQUIRED  # the value an absent key reads as, which is left out when written
 
@@ -469,11 +487,12 @@ def _decode_record(cls: type, table: dict, data: Any, where: str) -> Any:
     return cls(*[kind.read(data, key, where) for key, (_, kind) in table.items()])
 
 
-# Per event class: its table, the position of its one timestamp, and the getters of its
-# values from an event and from its JSON object, and their JSON types, in table order.
+# Per event class: its table, the position of its one timestamp, the getter of its values
+# from an event, and per key in table order, the getter of its value from a JSON object
+# and that value's JSON types.
 _EVENT_CODECS = {
     cls: (table, [f.type for f, _ in table.values()].index("datetime"), attrgetter(*table),
-          itemgetter(*table), [json_type for _, kind in table.values() for json_type in kind.json])
+          [(itemgetter(key), frozenset(kind.json)) for key, (_, kind) in table.items()])
     for cls in (Comment, Review, ReviewRequest, CommitEvent) for table in [_table(cls)]
 }
 # The event list annotations of PullRequest, and the class of their events.
@@ -481,7 +500,7 @@ _EVENT_LISTS = {f"tuple[{cls.__name__}, ...]": cls for cls in _EVENT_CODECS}
 
 
 def _event_list(cls: type) -> _Kind:
-    """The kind of ``tuple[cls, ...]``, a list of events of class ``cls``; _fast_pull decodes it itself."""
+    """The kind of ``tuple[cls, ...]``, a list of events of class ``cls``; _fast_pulls decodes it itself."""
     table = _EVENT_CODECS[cls][0]
     checks = [(attrgetter(name), kind.valid) for name, (_, kind) in table.items()]
 
@@ -504,49 +523,63 @@ _decode_user = partial(_decode_record, UserProfile, _USER)  # (data, where) -> U
 _PR = _table(PullRequest)
 _REPO = {k: (f, _FIELD_KINDS[f.type]) for k, f in zip(("owner", "name", "fetched_at"), fields(RepoSnapshot))}
 
-# What _fast_pull reads a pull request by, from its table: its keys with and without those
+# What _fast_pulls reads a pull request by, from its table: its keys with and without those
 # that may be absent, and what those read as; the getter of its values and their JSON types;
-# by position, the decoder of each value but an event list, and what each event list reads.
+# by position, the decoder of each value but an event list; and per event class, the
+# positions of its lists, its width, each key's getter and JSON types, and which key is its
+# timestamp.
 _PR_KEYS = frozenset(_PR)
 _PR_ABSENT = {key: kind.absent for key, (_, kind) in _PR.items() if kind.absent is not _REQUIRED}
 _OPEN_PR_KEYS = _PR_KEYS - _PR_ABSENT.keys()
 _PR_TAKE = itemgetter(*_PR)
 _PR_TYPES = frozenset(product(*[kind.json for _, kind in _PR.values()]))
 _PR_FAST = tuple((i, kind.fast) for i, (_, kind) in enumerate(_PR.values()) if kind.fast)
-_PR_EVENTS = tuple((i, cls, table.keys(), take, types, stamp)
-                   for i, (f, _) in enumerate(_PR.values()) if f.type in _EVENT_LISTS
-                   for cls in [_EVENT_LISTS[f.type]] for table, stamp, _, take, types in [_EVENT_CODECS[cls]])
+_PR_EVENTS = tuple((cls, [i for i, (f, _) in enumerate(_PR.values()) if _EVENT_LISTS.get(f.type) is cls],
+                    len(table), readers, stamp)
+                   for cls, (table, stamp, _, readers) in _EVENT_CODECS.items())
+# The pulls _fast_pulls reads at once: a longer run holds more columns alive at the peak of a
+# load for no more speed.
+_RUN = 256
 
 
-def _fast_pull(data: Any) -> PullRequest | None:
-    """The PullRequest of a well-formed pull, read with no checked reader, or None, and
-    _decode_pull then reads it or names its fault. Well-formed is as save_snapshot writes:
-    dicts of exactly their table's keys (in any order; a PR's nullable ones may be absent),
-    values of their exact JSON types, unique labels, and every timestamp in the canonical
-    spelling. A date that does not exist, such as "2023-02-29", falls through."""
-    if type(data) is not dict or data.keys() not in (_PR_KEYS, _OPEN_PR_KEYS):
-        return None
-    values = list(_PR_TAKE(data if len(data) == len(_PR) else {**_PR_ABSENT, **data}))
-    if tuple(map(type, values)) not in _PR_TYPES:
-        return None
+def _fast_pulls(raws: list) -> list[PullRequest] | None:
+    """The PullRequests of a run of well-formed pulls, read with no checked reader, or None
+    when any pull is not; each of them is then read alone, and _decode_pull reads one that
+    is still refused or names its fault. Well-formed is as save_snapshot writes: dicts of
+    exactly their table's keys (in any order; a PR's nullable ones may be absent), values of
+    their exact JSON types, unique labels, and every timestamp in the canonical spelling. A
+    date that does not exist, such as "2023-02-29", is refused. A PR's own fields are read
+    per PR; each event field is read as one column across the run's events of its class,
+    so a run is refused exactly when one of its pulls alone would be."""
+    rows = []
+    for data in raws:
+        if type(data) is not dict or data.keys() not in (_PR_KEYS, _OPEN_PR_KEYS):
+            return None
+        values = list(_PR_TAKE(data if len(data) == len(_PR) else {**_PR_ABSENT, **data}))
+        if tuple(map(type, values)) not in _PR_TYPES:
+            return None
+        rows.append(values)
     try:
-        for i, fast in _PR_FAST:
-            if values[i] is not None:  # a null, where the field may be null
-                values[i] = fast(values[i])
-        for i, cls, keys, take, types, stamp in _PR_EVENTS:
-            events = []
-            for raw in values[i]:
-                if type(raw) is not dict or raw.keys() != keys:
-                    return None
-                event = list(take(raw))
-                if list(map(type, event)) != types:
-                    return None
-                event[stamp] = _canonical_instant(event[stamp])
-                events.append(cls(*event))
-            values[i] = tuple(events)
-    except ValueError:
+        for values in rows:
+            for i, fast in _PR_FAST:
+                if values[i] is not None:  # a null, where the field may be null
+                    values[i] = fast(values[i])
+        for cls, positions, width, readers, stamp in _PR_EVENTS:
+            events = list(chain.from_iterable([values[i] for values in rows for i in positions]))
+            # exact dicts of the table's width, so that a getter's KeyError is the only way a key can differ
+            if not ({dict}.issuperset(map(type, events)) and {width}.issuperset(map(len, events))):
+                return None
+            columns = [list(map(get, events)) for get, _ in readers]
+            if not all(types.issuperset(map(type, column)) for column, (_, types) in zip(columns, readers)):
+                return None
+            columns[stamp] = _canonical_instants(columns[stamp])
+            decoded = map(cls, *columns)
+            for values in rows:
+                for i in positions:
+                    values[i] = tuple(islice(decoded, len(values[i])))
+    except (KeyError, ValueError):
         return None
-    return PullRequest(*values)
+    return [PullRequest(*values) for values in rows]
 
 
 def _decode_pull(data: Any, index: int) -> PullRequest:
@@ -574,13 +607,16 @@ def snapshot_from_dict(data: Any) -> RepoSnapshot:
             raise SnapshotValidationError(f"users[{i}]: duplicate login '{profile.login}'")
         users[profile.login] = profile
 
-    pulls = tuple(
-        _fast_pull(raw) or _decode_pull(raw, i)
-        for i, raw in enumerate(_require_list(_take(data, "pulls", "snapshot"), "pulls"))
-    )
+    raws = _require_list(_take(data, "pulls", "snapshot"), "pulls")
+    pulls: list[PullRequest] = []
+    for start in range(0, len(raws), _RUN):
+        run = raws[start:start + _RUN]
+        # a refused run is read pull by pull, so that only a refused pull takes the checked path
+        pulls += _fast_pulls(run) or [(_fast_pulls([raw]) or [_decode_pull(raw, i)])[0]
+                                      for i, raw in enumerate(run, start)]
 
     snapshot = RepoSnapshot(*[kind.read(repo, key, "repo") for key, (_, kind) in _REPO.items()],
-                            pulls=pulls, users=users)
+                            pulls=tuple(pulls), users=users)
     validate(snapshot)
     return snapshot
 
@@ -777,7 +813,7 @@ def record_template(keys: Iterable[str], newline: str) -> str:
 # its getter, its timestamp's position and its width.
 _EVENT_SEPARATOR = ",\n        "
 _EVENT_TEMPLATES = {cls: (record_template(table, "\n        "), get, stamp, len(table))
-                    for cls, (table, stamp, get, _, _) in _EVENT_CODECS.items()}
+                    for cls, (table, stamp, get, _) in _EVENT_CODECS.items()}
 _PR_HEAD = {key: row for key, row in _PR.items() if row[0].type not in _EVENT_LISTS}  # before the events
 
 
@@ -827,6 +863,10 @@ def _check(record: Any, cls: type, table: dict, where: str) -> None:
                 for i, event in enumerate(value):
                     _check(event, event_cls, _EVENT_CODECS[event_cls][0], f"{where}.{key}[{i}]")
             if kind.valid is _is_time and isinstance(value, datetime):
+                try:
+                    _in_utc(value)
+                except SnapshotValidationError as exc:
+                    raise SnapshotValidationError(f"{where}: field '{key}': {exc}") from exc
                 raise SnapshotValidationError(f"{where}: field '{key}' must be a whole second in UTC, "
                                               f"got {value.isoformat()}")
             raise SnapshotValidationError(f"{where}: field '{key}' must be {f.type}, got {_typename(value)}")

@@ -15,9 +15,10 @@ import time
 from collections import OrderedDict
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -981,6 +982,38 @@ def test_single_field_mutations_decode_as_the_checked_path(path, value):
     _assert_decodes_as_the_reference(data)
 
 
+@given(st.sampled_from(_RICH_PATHS), st.sampled_from(MUTANTS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_single_field_mutations_decode_as_the_checked_path_in_short_runs(path, value):
+    """Read in runs of two pulls, a fault in any run is named as when every PR is read alone."""
+    data = rich_snapshot_dict()
+    replace_at(data, path, value)
+    with mock.patch.object(corpus, "_RUN", 2):
+        _assert_decodes_as_the_reference(data)
+
+
+def test_a_run_of_well_formed_pulls_is_read_in_columns(rich_dict, monkeypatch):
+    """Structural, not timed: a well-formed snapshot sends no PR to the checked _decode_pull
+    and parses the timestamps of each event class in one call per run; a PR in another
+    spelling, and it alone, goes to _decode_pull."""
+    decoded, parsed = [], []
+    decode_pull, canonical_instants = corpus._decode_pull, corpus._canonical_instants
+    monkeypatch.setattr(corpus, "_decode_pull", lambda raw, i: decoded.append(i) or decode_pull(raw, i))
+    monkeypatch.setattr(corpus, "_canonical_instants",
+                        lambda texts: parsed.append(len(texts)) or canonical_instants(texts))
+    monkeypatch.setattr(corpus, "_RUN", 10)
+    snap = snapshot_from_dict(rich_dict)
+    runs = -(-len(rich_dict["pulls"]) // 10)
+    assert runs > 2 and len(rich_dict["pulls"]) % 10 and decoded == []  # the last run is a short one
+    assert len(parsed) == runs * len(corpus._EVENT_CODECS)
+    assert sum(parsed) == sum(len(pr[key]) for pr in rich_dict["pulls"] for key in _EVENT_KEYS)
+
+    event = rich_dict["pulls"][12]["issue_comments"][0]
+    event["created_at"] = event["created_at"].replace("Z", "+00:00")
+    assert snapshot_from_dict(rich_dict) == snap
+    assert decoded == [12]
+
+
 class _Dict(dict):
     pass
 
@@ -1329,6 +1362,34 @@ def test_canonical_shapes_parse_as_the_general_path_reads_them(value):
     assert _outcome(parse_timestamp, value) == _outcome(_general_parse_timestamp, value)
 
 
+def _instants_or_error(parse, texts):
+    try:
+        instants = parse(texts)
+    except ValueError:
+        return ValueError
+    assert all(instant.tzinfo is timezone.utc for instant in instants)
+    return instants
+
+
+_COLUMN_STAMPS = (_CANONICAL_STAMPS + _IMPOSSIBLE_STAMPS + _NEAR_CANONICAL_STAMPS + _NON_ASCII_STAMPS
+                  + ["2022-01-01T00:00:00Z\n2022-01-01T00:00:00Z", "2022-01-01T00:00\n:00Z",
+                     "2022-01-01Z00:00:00Z", "2022-01-01T00:00Z00Z", ""])
+
+
+@given(st.lists(st.sampled_from(_COLUMN_STAMPS)
+                | st.from_regex(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z", fullmatch=True),
+                max_size=5))
+@example([])
+@example(["2022-01-01T00:00:00Z", "2023-02-29T00:00:00Z"])
+@example(["2022-01-01T00:00:00Z", "2022-01-01T00:00:00Z\n"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_timestamp_column_parses_as_each_timestamp_alone(texts):
+    """The same instants, each with ``timezone.utc`` itself as its zone, or a ValueError
+    exactly when one timestamp alone would raise it."""
+    alone = _instants_or_error(lambda column: [corpus._canonical_instant(text) for text in column], texts)
+    assert _instants_or_error(corpus._canonical_instants, texts) == alone
+
+
 @pytest.mark.parametrize("year", [1, 999])
 def test_early_years_round_trip(year, tmp_path):
     data = _base()
@@ -1578,10 +1639,10 @@ _UNSAVABLE = [
      "PR 1.commits[0]: field 'committed_at' must be a whole second in UTC, got 2022-01-05T12:00:00+00:00:00.000500"),
     # a UTC instant outside years 1-9999, which a save cannot write
     ("before-year-1-in-utc", {"created_at": datetime.fromisoformat("0001-01-01T00:30:00+01:00")},
-     "timestamp '0001-01-01T00:30:00+01:00' is out of range"),
+     "PR 1: field 'created_at': timestamp '0001-01-01T00:30:00+01:00' is out of range"),
     ("after-year-9999-in-utc",
      {"commits": (CommitEvent("ab12", "alice", datetime.fromisoformat("9999-12-31T23:59:59-01:00")),)},
-     "timestamp '9999-12-31T23:59:59-01:00' is out of range"),
+     "PR 1.commits[0]: field 'committed_at': timestamp '9999-12-31T23:59:59-01:00' is out of range"),
 ]
 
 
@@ -1679,7 +1740,9 @@ def test_a_naive_datetime_in_any_event_class_is_not_saved(rich_snapshot, key, tm
         snapshot_to_dict(snap)
     with pytest.raises(SnapshotValidationError) as raised:
         save_snapshot(snap, tmp_path / "snap.json")
-    assert str(raised.value) == str(expected.value) == "timestamp '2022-01-01T12:00:00' lacks a UTC offset"
+    assert str(expected.value) == "timestamp '2022-01-01T12:00:00' lacks a UTC offset"
+    stamp = [f.name for f in dataclasses.fields(events[0]) if f.type == "datetime"][0]
+    assert str(raised.value) == f"PR 1.{key}[2]: field '{stamp}': {expected.value}"
     assert list(tmp_path.iterdir()) == []
 
 
