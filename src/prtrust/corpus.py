@@ -26,11 +26,12 @@ import json
 import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
-from itertools import chain, islice, product
-from operator import attrgetter, itemgetter
+from itertools import chain, islice, product, repeat
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
@@ -57,17 +58,13 @@ _CANONICAL = re.compile(_DATE_TIME + "Z", re.ASCII).fullmatch
 # Timestamps
 # ---------------------------------------------------------------------------
 
-def _utc_offset(canonical: str) -> str:
-    """A canonical timestamp with its "Z" spelled "+00:00", which fromisoformat reads on every Python."""
-    return canonical[:-1] + "+00:00"
-
-
 def _canonical_instant(text: str) -> datetime:
     """The instant of a timestamp in the canonical spelling "YYYY-MM-DDTHH:MM:SSZ" that save_snapshot
-    writes, as parse_timestamp's general path reads it; any other text is a ValueError."""
+    writes, as parse_timestamp's general path reads it; any other text is a ValueError. Its one
+    "Z" is spelled "+00:00", which fromisoformat reads on every Python."""
     if not _CANONICAL(text):
         raise ValueError(text)
-    return datetime.fromisoformat(_utc_offset(text))
+    return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 
 def _canonical_instants(texts: list[str]) -> list[datetime]:
@@ -75,7 +72,7 @@ def _canonical_instants(texts: list[str]) -> list[datetime]:
     call; a ValueError when any text is not canonical or names a date that does not exist."""
     if not all(map(_CANONICAL, texts)):
         raise ValueError(texts)
-    return list(map(datetime.fromisoformat, map(_utc_offset, texts)))
+    return list(map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00"))))
 
 
 def parse_timestamp(value: Any, where: str) -> datetime:
@@ -126,7 +123,7 @@ def format_timestamp(value: datetime) -> str:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comment:
     """One issue or review comment on a pull request."""
 
@@ -136,7 +133,7 @@ class Comment:
     body: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
     """One submitted review; the body may be empty (e.g. a bare approval)."""
 
@@ -152,7 +149,7 @@ class Review:
         return self.submitted_at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewRequest:
     """The act of asking a specific user to review the PR.
 
@@ -165,7 +162,7 @@ class ReviewRequest:
     requested_at: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitEvent:
     """One commit attached to the PR branch."""
 
@@ -174,7 +171,7 @@ class CommitEvent:
     committed_at: datetime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     """Per-login social and permission data.
 
@@ -193,7 +190,7 @@ class UserProfile:
     permission_unknown: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PullRequest:
     """One pull request with its full interaction record."""
 
@@ -526,7 +523,7 @@ _REPO = {k: (f, _FIELD_KINDS[f.type]) for k, f in zip(("owner", "name", "fetched
 # What _fast_pulls reads a pull request by, from its table: its keys with and without those
 # that may be absent, and what those read as; the getter of its values and their JSON types;
 # by position, the decoder of each value but an event list; and per event class, the
-# positions of its lists, its width, each key's getter and JSON types, and which key is its
+# positions of its lists, its table, each key's getter and JSON types, and which key is its
 # timestamp.
 _PR_KEYS = frozenset(_PR)
 _PR_ABSENT = {key: kind.absent for key, (_, kind) in _PR.items() if kind.absent is not _REQUIRED}
@@ -535,11 +532,22 @@ _PR_TAKE = itemgetter(*_PR)
 _PR_TYPES = frozenset(product(*[kind.json for _, kind in _PR.values()]))
 _PR_FAST = tuple((i, kind.fast) for i, (_, kind) in enumerate(_PR.values()) if kind.fast)
 _PR_EVENTS = tuple((cls, [i for i, (f, _) in enumerate(_PR.values()) if _EVENT_LISTS.get(f.type) is cls],
-                    len(table), readers, stamp)
+                    table, readers, stamp)
                    for cls, (table, stamp, _, readers) in _EVENT_CODECS.items())
 # The pulls _fast_pulls reads at once: a longer run holds more columns alive at the peak of a
 # load for no more speed.
 _RUN = 256
+
+
+def _records(cls: type, table: dict, count: int, columns: Iterable[Iterable]) -> list:
+    """``count`` records of the slotted ``cls``, equal to ``cls(*row)`` of each row of ``columns``
+    (one column per field, in ``table`` order) but cheaper: each is made by ``object.__new__``,
+    and each field's column is set through its slot descriptor in one call, with no frozen
+    ``__init__`` and its ``object.__setattr__`` per field."""
+    records = list(map(object.__new__, repeat(cls, count)))
+    for name, column in zip(table, columns):
+        deque(map(getattr(cls, name).__set__, records, column), maxlen=0)
+    return records
 
 
 def _fast_pulls(raws: list) -> list[PullRequest] | None:
@@ -564,22 +572,22 @@ def _fast_pulls(raws: list) -> list[PullRequest] | None:
             for i, fast in _PR_FAST:
                 if values[i] is not None:  # a null, where the field may be null
                     values[i] = fast(values[i])
-        for cls, positions, width, readers, stamp in _PR_EVENTS:
+        for cls, positions, table, readers, stamp in _PR_EVENTS:
             events = list(chain.from_iterable([values[i] for values in rows for i in positions]))
             # exact dicts of the table's width, so that a getter's KeyError is the only way a key can differ
-            if not ({dict}.issuperset(map(type, events)) and {width}.issuperset(map(len, events))):
+            if not ({dict}.issuperset(map(type, events)) and {len(table)}.issuperset(map(len, events))):
                 return None
             columns = [list(map(get, events)) for get, _ in readers]
             if not all(types.issuperset(map(type, column)) for column, (_, types) in zip(columns, readers)):
                 return None
             columns[stamp] = _canonical_instants(columns[stamp])
-            decoded = map(cls, *columns)
+            decoded = iter(_records(cls, table, len(events), columns))
             for values in rows:
                 for i in positions:
                     values[i] = tuple(islice(decoded, len(values[i])))
     except (KeyError, ValueError):
         return None
-    return [PullRequest(*values) for values in rows]
+    return _records(PullRequest, _PR, len(rows), zip(*rows))
 
 
 def _decode_pull(data: Any, index: int) -> PullRequest:
@@ -872,6 +880,36 @@ def _check(record: Any, cls: type, table: dict, where: str) -> None:
             raise SnapshotValidationError(f"{where}: field '{key}' must be {f.type}, got {_typename(value)}")
 
 
+def _valid_column(kind: _Kind, values: list) -> bool:
+    """Whether ``kind.valid`` holds for each of ``values``, an int, str or timestamp kind's
+    tested in C-level passes of exact types; False may also mean a value of a subclass."""
+    if kind is _TIME:  # _is_time's test of every loaded value
+        return ({datetime}.issuperset(map(type, values))
+                and all(map(is_, map(attrgetter("tzinfo"), values), repeat(timezone.utc)))
+                and not any(map(attrgetter("microsecond"), values)))
+    if kind is _INT or kind is _STR:
+        return set(kind.json).issuperset(map(type, values))
+    return all(map(kind.valid, values))
+
+
+def _events_valid(pulls: tuple[PullRequest, ...]) -> bool:
+    """Whether every event list of every one of ``pulls`` passes its kind's ``valid``, each field
+    of an event class tested as one column across all the PRs' events of that class; False
+    when any may not, and _check then names the first fault PR by PR."""
+    if not {PullRequest}.issuperset(map(type, pulls)):
+        return False
+    keys = list(_PR)
+    for cls, positions, table, _, _ in _PR_EVENTS:
+        lists = [getattr(pr, keys[i]) for pr in pulls for i in positions]
+        if not {tuple}.issuperset(map(type, lists)):
+            return False
+        events = list(chain.from_iterable(lists))
+        if not ({cls}.issuperset(map(type, events)) and all(
+                _valid_column(kind, list(map(attrgetter(name), events))) for name, (_, kind) in table.items())):
+            return False
+    return True
+
+
 def indented_json(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)`` for str keys, faster: the C
     encoder cannot indent, so that call runs in pure Python; this walk encodes strings
@@ -960,7 +998,8 @@ def save_snapshot(snapshot: RepoSnapshot, path: str | Path) -> None:
     _check(snapshot, RepoSnapshot, _REPO, "repo")
     for login, profile in snapshot.users.items():
         _check(profile, UserProfile, _USER, f"user '{login}'")
+    table = _PR_HEAD if _events_valid(snapshot.pulls) else _PR
     for i, pr in enumerate(snapshot.pulls):
-        _check(pr, PullRequest, _PR, f"PR {pr.number}" if type(pr) is PullRequest else f"pulls[{i}]")
+        _check(pr, PullRequest, table, f"PR {pr.number}" if type(pr) is PullRequest else f"pulls[{i}]")
     validate(snapshot)
     write_whole(path, json_chunks(_snapshot_document(snapshot), "pulls", _pull_text))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import enum
 import gc
 import itertools
 import json
+import pickle
 import re
 import stat
 import tempfile
@@ -1014,6 +1016,59 @@ def test_a_run_of_well_formed_pulls_is_read_in_columns(rich_dict, monkeypatch):
     assert decoded == [12]
 
 
+_RECORD_CLASSES = (Comment, Review, ReviewRequest, CommitEvent, UserProfile, corpus.PullRequest)
+
+
+def _records_of(pr) -> list:
+    """``pr`` and each of its events."""
+    return [pr] + [event for key in _EVENT_LIST_KEYS for event in getattr(pr, key)]
+
+
+def test_records_of_every_decode_path_are_indistinguishable(rich_dict):
+    """The column path fills slotted records without their __init__; the pull-by-pull retry
+    and the checked _decode_pull build them through it. The records behave alike."""
+    columns = snapshot_from_dict(copy.deepcopy(rich_dict)).pulls
+    checked = [corpus._decode_pull(raw, i) for i, raw in enumerate(copy.deepcopy(rich_dict)["pulls"])]
+    # PR 3's run is refused, so each other PR of it is read alone, and PR 3 by _decode_pull
+    event = rich_dict["pulls"][2]["issue_comments"][1]
+    event["created_at"] = event["created_at"].replace("Z", "+00:00")
+    retried = snapshot_from_dict(rich_dict).pulls
+    for trio in zip(columns, retried, checked):
+        for records in zip(*map(_records_of, trio)):
+            expected = records[-1]
+            assert type(expected) in _RECORD_CLASSES
+            for record in records:
+                copies = (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record),
+                          dataclasses.replace(record))
+                for same in (record,) + copies:
+                    assert type(same) is type(expected) and same == expected
+                    assert hash(same) == hash(expected) and repr(same) == repr(expected)
+                assert dataclasses.asdict(record) == dataclasses.asdict(expected)
+                assert not hasattr(record, "__dict__")
+                name = dataclasses.fields(record)[0].name
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, getattr(record, name))
+
+
+def test_a_well_formed_load_builds_no_event_or_pull_through_its_init(rich_dict, monkeypatch):
+    """Structural, not timed: the column path makes its events and PullRequests without
+    calling their __init__, which the checked path and the users' decode still call."""
+    calls = collections.Counter()
+
+    def counted(cls):
+        init = cls.__init__
+        return lambda self, *args, **kwargs: calls.update([cls]) or init(self, *args, **kwargs)
+
+    for cls in _RECORD_CLASSES:
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    snap = snapshot_from_dict(copy.deepcopy(rich_dict))
+    assert sum(len(_records_of(pr)) for pr in snap.pulls) > len(snap.pulls) > 1
+    assert calls == {UserProfile: len(rich_dict["users"])}
+    calls.clear()
+    assert corpus._decode_pull(rich_dict["pulls"][0], 0) == snap.pulls[0]
+    assert calls[corpus.PullRequest] == 1 and calls[CommitEvent] == len(snap.pulls[0].commits) > 0
+
+
 class _Dict(dict):
     pass
 
@@ -1555,14 +1610,15 @@ def _events(key: str, count: int, when: datetime = _UTC_NOON, text: str = "x") -
     return tuple(make(i) for i in range(count))
 
 
-def _with_pull(snap, **changes):
-    """``snap`` with its first PR changed by ``changes``, and a user for each login the PR
-    names that ``snap`` lacks, so that a save validates it."""
-    pr = dataclasses.replace(snap.pulls[0], **changes)
+def _with_pull(snap, at: int = 0, **changes):
+    """``snap`` with its PR at index ``at`` changed by ``changes``, and a user for each login the
+    PR names that ``snap`` lacks, so that a save validates it."""
+    pr = dataclasses.replace(snap.pulls[at], **changes)
     named = [pr.author] + [getattr(event, "author", getattr(event, "requestee", None))
                            for key in _EVENT_KEYS for event in getattr(pr, key)]
     users = {login: UserProfile(login, 0, frozenset(), "read") for login in named if isinstance(login, str)}
-    return dataclasses.replace(snap, pulls=(pr,) + snap.pulls[1:], users={**users, **snap.users})
+    pulls = snap.pulls[:at] + (pr,) + snap.pulls[at + 1:]
+    return dataclasses.replace(snap, pulls=pulls, users={**users, **snap.users})
 
 
 def _assert_saved_as_json_dumps(snap, path) -> None:
@@ -1652,6 +1708,20 @@ def test_a_save_rejects_a_snapshot_a_load_would_not_read_back(rich_snapshot, cha
     with pytest.raises(SnapshotValidationError) as err:
         save_snapshot(snap, tmp_path / "snap.json")
     assert str(err.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("changes, message", [pytest.param(*case[1:], id=case[0]) for case in _UNSAVABLE])
+def test_a_save_names_a_fault_in_a_later_pr_as_in_the_first(rich_snapshot, changes, message, tmp_path):
+    """Every event field is checked as one column across all PRs first; the PR-by-PR check
+    that names a fault runs when a column fails, so a later PR's fault is named alike."""
+    at = len(rich_snapshot.pulls) - 2
+    number = rich_snapshot.pulls[at].number
+    assert at > 1 and number != 1
+    with pytest.raises(SnapshotValidationError) as err:
+        save_snapshot(_with_pull(rich_snapshot, at, **changes), tmp_path / "snap.json")
+    # a number changed to 1.0 names the PR by that value
+    assert str(err.value) == (message if "number" in changes else message.replace("PR 1", f"PR {number}", 1))
     assert list(tmp_path.iterdir()) == []
 
 
